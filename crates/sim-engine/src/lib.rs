@@ -5,7 +5,8 @@
 //!
 //! * [`Cycle`] — the simulated processor-cycle clock (network and memory run
 //!   at the same clock, as in the paper's methodology section).
-//! * [`EventQueue`] — a binary-heap event queue with deterministic
+//! * [`EventQueue`] — a bucket-wheel event queue over one slab of event
+//!   nodes, with a key heap for the far future and deterministic
 //!   tie-breaking: events scheduled for the same cycle fire in insertion
 //!   order, so a simulation run is a pure function of its configuration.
 //! * [`FifoServer`] — an earliest-free-time resource model used for memory

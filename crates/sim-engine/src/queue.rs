@@ -1,35 +1,42 @@
 //! Deterministic event queue.
 //!
-//! [`EventQueue`] is a two-level indexed queue: a *bucket wheel* holds the
-//! near future (one FIFO bucket per cycle in a fixed window starting at the
-//! current cycle) and an overflow heap holds the far future. The simulator
-//! schedules almost exclusively a few tens of cycles ahead (network hops,
-//! memory service, spin re-checks), so in steady state every operation
-//! touches only the wheel: `schedule` is an append to a reusable bucket and
-//! `pop` is a bitmap scan to the next occupied slot — no comparisons
-//! against other pending events and no per-event allocation once the
-//! bucket capacity has warmed up.
+//! [`EventQueue`] keeps every pending event in one slab of nodes and
+//! indexes it two ways. A *bucket wheel* covers the near future: one
+//! intrusive FIFO list per cycle in a fixed window starting at the current
+//! cycle. A far-future heap covers the rest: it orders small
+//! `(cycle, seq, index)` keys, while the payloads stay in the slab. Freed
+//! nodes go onto a LIFO free list, so once the slab has grown to the peak
+//! pending depth, `schedule` and `pop` never touch the allocator and the
+//! hottest nodes stay in cache. `schedule` links a node onto a bucket tail;
+//! `pop` is a bitmap scan to the next occupied slot plus an unlink.
+//!
+//! Most events land a few tens of cycles ahead (network hops, memory
+//! service, spin re-checks), but the far heap is not rare traffic: on the
+//! 32-processor update-protocol runs roughly 15% of schedules spill beyond
+//! the wheel, most of them from the centralized barrier. Spilling costs one
+//! heap push of a 24-byte key and a later merge; the payload never moves.
 //!
 //! The observable order is identical to a totally ordered heap: events pop
-//! in `(cycle, seq)` order, where `seq` is the global insertion number.
-//! Within a bucket events are appended in increasing `seq`; events that
-//! overflow to the far heap carry their `seq` and are merged back into the
-//! wheel *before* any same-cycle event could be scheduled directly (a
-//! cycle enters the wheel window exactly once, and the merge happens at
-//! that moment), so bucket FIFO order always equals `seq` order.
+//! in `(cycle, seq)` order, where `seq` is the insertion number (or the
+//! caller's number, see [`EventQueue::schedule_with_seq`]). Every bucket
+//! list is kept sorted by `seq`. Far events merge back in `(cycle, seq)`
+//! order at the moment their cycle enters the window, before anything can
+//! be scheduled directly into that cycle, so the common insertion is a
+//! plain tail append and only an out-of-order `seq` walks the list.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
 /// Number of cycles covered by the near-future bucket wheel. Must be a
-/// power of two. The simulator's event horizon (DRAM block service, a
-/// full-diameter mesh traversal, spin wake-ups) sits well below this, so
-/// far-heap traffic is rare.
+/// power of two.
 const WHEEL: u64 = 1024;
 const WHEEL_MASK: u64 = WHEEL - 1;
 /// Occupancy bitmap: one bit per wheel slot, packed into u64 words.
 const BITMAP_WORDS: usize = (WHEEL / 64) as usize;
+/// The null slab index: end of a list, or an empty bucket.
+const NIL: u32 = u32::MAX;
 
 /// Lifetime counters maintained by the queue itself (trivially cheap, so
 /// always on): how much was scheduled, how often the far heap was
@@ -65,31 +72,22 @@ pub struct QueueSnapshot<E> {
     pub entries: Vec<(Cycle, u64, E)>,
 }
 
-/// A far-future entry: fires at `at`, carrying payload `E`.
-struct FarEntry<E> {
-    at: Cycle,
+/// One slab entry: a pending event, or a free node when `payload` is
+/// `None`. `next` links bucket lists and the free list.
+struct Node<E> {
+    next: u32,
     seq: u64,
-    payload: E,
+    payload: Option<E>,
 }
 
-impl<E> PartialEq for FarEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// A wheel slot: the first and last slab index of its list.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
-impl<E> Eq for FarEntry<E> {}
-impl<E> PartialOrd for FarEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for FarEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (cycle, seq)
-        // pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
+
+const EMPTY: Bucket = Bucket { head: NIL, tail: NIL };
 
 /// A min-ordered event queue over simulated cycles with FIFO tie-breaking.
 ///
@@ -110,15 +108,19 @@ impl<E> Ord for FarEntry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Wheel slot for cycle `c` is `slots[(c & WHEEL_MASK)]`; the wheel
+    /// Every pending event, wheel and far alike, plus free nodes.
+    slab: Vec<Node<E>>,
+    /// Head of the LIFO free list threaded through `Node::next`.
+    free: u32,
+    /// Wheel slot for cycle `c` is `buckets[c & WHEEL_MASK]`; the wheel
     /// covers exactly `[now, horizon)`, so the mapping is injective.
-    slots: Vec<VecDeque<(u64, E)>>,
+    buckets: Vec<Bucket>,
     /// One occupancy bit per slot (bit set ⇔ slot non-empty).
     occupied: [u64; BITMAP_WORDS],
     /// Events in wheel slots.
     wheel_len: usize,
-    /// Events at `horizon` or later.
-    far: BinaryHeap<FarEntry<E>>,
+    /// Keys of the events at `horizon` or later, earliest on top.
+    far: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
     /// Exclusive upper bound of the wheel window (= `now + WHEEL`).
     horizon: Cycle,
     next_seq: u64,
@@ -136,7 +138,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at cycle 0.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..WHEEL).map(|_| VecDeque::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY; WHEEL as usize],
             occupied: [0; BITMAP_WORDS],
             wheel_len: 0,
             far: BinaryHeap::new(),
@@ -152,38 +156,79 @@ impl<E> EventQueue<E> {
         self.now
     }
 
+    /// Takes a node off the free list (or grows the slab) for a new event.
     #[inline]
-    fn mark(&mut self, slot: u64) {
-        self.occupied[(slot / 64) as usize] |= 1 << (slot % 64);
+    fn alloc(&mut self, seq: u64, payload: E) -> u32 {
+        let node = Node { next: NIL, seq, payload: Some(payload) };
+        if self.free == NIL {
+            let idx = u32::try_from(self.slab.len()).expect("event slab exceeds u32 indices");
+            self.slab.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            let slot = &mut self.slab[idx as usize];
+            self.free = slot.next;
+            *slot = node;
+            idx
+        }
     }
 
+    /// Returns node `idx` to the free list, handing back its payload.
     #[inline]
-    fn clear(&mut self, slot: u64) {
-        self.occupied[(slot / 64) as usize] &= !(1 << (slot % 64));
+    fn release(&mut self, idx: u32) -> E {
+        let node = &mut self.slab[idx as usize];
+        node.next = self.free;
+        self.free = idx;
+        node.payload.take().expect("released a free slab node")
+    }
+
+    /// Links node `idx` into the bucket of cycle `at` (inside the window),
+    /// keeping the list sorted by `seq`: a tail append unless `idx` carries
+    /// a smaller `seq` than the current tail.
+    fn link(&mut self, at: Cycle, idx: u32) {
+        let slot = (at & WHEEL_MASK) as usize;
+        let Bucket { head, tail } = self.buckets[slot];
+        self.wheel_len += 1;
+        if tail == NIL {
+            self.buckets[slot] = Bucket { head: idx, tail: idx };
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+            return;
+        }
+        let seq = self.slab[idx as usize].seq;
+        if self.slab[tail as usize].seq <= seq {
+            self.slab[tail as usize].next = idx;
+            self.buckets[slot].tail = idx;
+        } else if seq < self.slab[head as usize].seq {
+            self.slab[idx as usize].next = head;
+            self.buckets[slot].head = idx;
+        } else {
+            // Strictly inside the list (head <= seq < tail): link in
+            // before the first node with a larger seq.
+            let mut prev = head;
+            loop {
+                let next = self.slab[prev as usize].next;
+                if self.slab[next as usize].seq > seq {
+                    self.slab[idx as usize].next = next;
+                    self.slab[prev as usize].next = idx;
+                    break;
+                }
+                prev = next;
+            }
+        }
     }
 
     /// Schedules `payload` to fire at absolute cycle `at`.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `at` lies in the past (before the last
-    /// popped event); the simulator never rewinds time. See
-    /// [`EventQueue::pop`] for why release builds may skip the check.
+    /// Panics if `at` lies in the past (before the last popped event): the
+    /// simulator never rewinds time, and such an event would otherwise land
+    /// in the wheel slot of a later cycle and fire a whole wheel turn
+    /// (1024 cycles) late.
     pub fn schedule(&mut self, at: Cycle, payload: E) {
-        debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.stats.scheduled += 1;
-        if at < self.horizon {
-            let slot = at & WHEEL_MASK;
-            self.slots[slot as usize].push_back((seq, payload));
-            self.mark(slot);
-            self.wheel_len += 1;
-        } else {
-            self.stats.far_spills += 1;
-            self.far.push(FarEntry { at, seq, payload });
-        }
-        self.stats.peak_len = self.stats.peak_len.max(self.len() as u64);
+        self.insert(at, seq, payload);
     }
 
     /// Schedules `payload` to fire `delay` cycles from the current cycle.
@@ -196,32 +241,31 @@ impl<E> EventQueue<E> {
     ///
     /// This is the insertion primitive of the sharded PDES core: one global
     /// counter spans all shard queues so the merged pop order reproduces the
-    /// single-queue `(cycle, seq)` order exactly. Unlike
-    /// [`EventQueue::schedule`], the target bucket may already hold events
-    /// with *larger* sequence numbers (an epoch-barrier handoff drains a
-    /// message whose seq predates direct schedules into the same cycle), so
-    /// the event is placed by ordered insertion from the back — O(1) for the
-    /// common append case.
+    /// single-queue `(cycle, seq)` order exactly. The target bucket may
+    /// already hold events with *larger* sequence numbers (an epoch-barrier
+    /// handoff drains a message whose seq predates direct schedules into the
+    /// same cycle); the event is then linked in at its `seq` position.
     ///
-    /// Do not mix with [`EventQueue::schedule`] on the same queue: the
-    /// internal counter is bypassed, and only the caller can keep seqs
-    /// globally unique.
+    /// The queue's own counter is not advanced, so only the caller can keep
+    /// seqs unique. Mixing with [`EventQueue::schedule`] is well defined
+    /// as long as the caller's seqs never collide with the counter's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies in the past, like [`EventQueue::schedule`].
     pub fn schedule_with_seq(&mut self, at: Cycle, seq: u64, payload: E) {
-        debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
+        self.insert(at, seq, payload);
+    }
+
+    fn insert(&mut self, at: Cycle, seq: u64, payload: E) {
+        assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
         self.stats.scheduled += 1;
+        let idx = self.alloc(seq, payload);
         if at < self.horizon {
-            let slot = (at & WHEEL_MASK) as usize;
-            let bucket = &mut self.slots[slot];
-            let mut idx = bucket.len();
-            while idx > 0 && bucket[idx - 1].0 > seq {
-                idx -= 1;
-            }
-            bucket.insert(idx, (seq, payload));
-            self.mark(slot as u64);
-            self.wheel_len += 1;
+            self.link(at, idx);
         } else {
             self.stats.far_spills += 1;
-            self.far.push(FarEntry { at, seq, payload });
+            self.far.push(Reverse((at, seq, idx)));
         }
         self.stats.peak_len = self.stats.peak_len.max(self.len() as u64);
     }
@@ -233,29 +277,26 @@ impl<E> EventQueue<E> {
         if self.wheel_len > 0 {
             // All wheel events precede all far events.
             let at = self.next_occupied(self.now).expect("wheel_len > 0 but no occupied slot");
-            let &(seq, _) = self.slots[(at & WHEEL_MASK) as usize].front().expect("occupied slot is empty");
-            Some((at, seq))
+            let head = self.buckets[(at & WHEEL_MASK) as usize].head;
+            Some((at, self.slab[head as usize].seq))
         } else {
-            self.far.peek().map(|e| (e.at, e.seq))
+            self.far.peek().map(|&Reverse((at, seq, _))| (at, seq))
         }
     }
 
-    /// Advances the wheel window so that it starts at `at`, merging
+    /// Advances the wheel window so that it starts at `at`, linking
     /// far-heap events that fall inside the new window into their buckets.
-    /// Far events merge in `(cycle, seq)` order, and any direct schedule
-    /// into those cycles can only happen afterwards (the cycles were
-    /// outside the window until now), so buckets stay sorted by `seq`.
+    /// They merge in `(cycle, seq)` order before any direct schedule into
+    /// those cycles is possible (the cycles were outside the window until
+    /// now), so every link is a tail append.
     fn advance_window(&mut self, at: Cycle) {
         self.horizon = at + WHEEL;
-        while let Some(head) = self.far.peek() {
-            if head.at >= self.horizon {
+        while let Some(&Reverse((at, _, idx))) = self.far.peek() {
+            if at >= self.horizon {
                 break;
             }
-            let FarEntry { at, seq, payload } = self.far.pop().unwrap();
-            let slot = at & WHEEL_MASK;
-            self.slots[slot as usize].push_back((seq, payload));
-            self.mark(slot);
-            self.wheel_len += 1;
+            self.far.pop();
+            self.link(at, idx);
             self.stats.far_merged += 1;
         }
     }
@@ -296,23 +337,29 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, advancing the clock to it.
+    /// When the wheel is empty, the window first jumps to the earliest far
+    /// event; after every pop the window slides to start at the new clock,
+    /// merging the far events it now covers.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let at = if self.wheel_len > 0 {
             // All wheel events precede all far events, so the earliest
             // pending event is in the wheel.
             self.next_occupied(self.now).expect("wheel_len > 0 but no occupied slot")
         } else {
-            let head = self.far.peek()?;
-            let at = head.at;
+            let &Reverse((at, _, _)) = self.far.peek()?;
             self.advance_window(at);
             at
         };
-        let slot = at & WHEEL_MASK;
-        let (_, payload) = self.slots[slot as usize].pop_front().expect("occupied slot is empty");
-        self.wheel_len -= 1;
-        if self.slots[slot as usize].is_empty() {
-            self.clear(slot);
+        let slot = (at & WHEEL_MASK) as usize;
+        let idx = self.buckets[slot].head;
+        let next = self.slab[idx as usize].next;
+        self.buckets[slot].head = next;
+        if next == NIL {
+            self.buckets[slot].tail = NIL;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
         }
+        self.wheel_len -= 1;
+        let payload = self.release(idx);
         debug_assert!(at >= self.now);
         self.now = at;
         if at + WHEEL > self.horizon {
@@ -325,7 +372,7 @@ impl<E> EventQueue<E> {
     pub fn peek_cycle(&self) -> Option<Cycle> {
         match self.next_occupied(self.now) {
             Some(c) => Some(c),
-            None => self.far.peek().map(|e| e.at),
+            None => self.far.peek().map(|&Reverse((at, _, _))| at),
         }
     }
 
@@ -361,22 +408,26 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
+        let entry = |at: Cycle, idx: u32| {
+            let node = &self.slab[idx as usize];
+            (at, node.seq, node.payload.clone().expect("pending node has a payload"))
+        };
         let mut entries = Vec::with_capacity(self.len());
         // The wheel covers exactly [now, horizon) and the cycle→slot
-        // mapping is injective there, so every event in a non-empty
-        // bucket belongs to the window cycle that maps to its slot.
-        // Walking cycles in order (buckets are already seq-sorted) yields
-        // the exact pop order of the wheel.
+        // mapping is injective there, so walking cycles in order (lists
+        // are already seq-sorted) yields the exact pop order of the wheel.
         for c in self.now..self.horizon {
-            for (seq, payload) in &self.slots[(c & WHEEL_MASK) as usize] {
-                entries.push((c, *seq, payload.clone()));
+            let mut idx = self.buckets[(c & WHEEL_MASK) as usize].head;
+            while idx != NIL {
+                entries.push(entry(c, idx));
+                idx = self.slab[idx as usize].next;
             }
         }
         // All wheel events precede all far events; the heap itself is
-        // unordered internally, so sort its entries by (cycle, seq).
-        let mut far: Vec<_> = self.far.iter().map(|e| (e.at, e.seq, e.payload.clone())).collect();
-        far.sort_by_key(|&(at, seq, _)| (at, seq));
-        entries.extend(far);
+        // unordered internally, so sort its keys by (cycle, seq).
+        let mut far: Vec<_> = self.far.iter().map(|&Reverse(key)| key).collect();
+        far.sort_unstable();
+        entries.extend(far.into_iter().map(|(at, _, idx)| entry(at, idx)));
         QueueSnapshot { now: self.now, next_seq: self.next_seq, stats: self.stats, entries }
     }
 
@@ -388,22 +439,25 @@ impl<E> EventQueue<E> {
         let mut q = EventQueue::new();
         q.now = snap.now;
         q.horizon = snap.now + WHEEL;
+        q.slab.reserve_exact(snap.entries.len());
         for (at, seq, payload) in snap.entries {
             assert!(at >= q.now, "snapshot entry at {at} precedes its clock {}", q.now);
-            // Entries arrive globally (cycle, seq)-sorted, so plain
-            // bucket appends reproduce seq-sorted buckets.
+            let idx = q.alloc(seq, payload);
             if at < q.horizon {
-                let slot = at & WHEEL_MASK;
-                q.slots[slot as usize].push_back((seq, payload));
-                q.mark(slot);
-                q.wheel_len += 1;
+                q.link(at, idx);
             } else {
-                q.far.push(FarEntry { at, seq, payload });
+                q.far.push(Reverse((at, seq, idx)));
             }
         }
         q.next_seq = snap.next_seq;
         q.stats = snap.stats;
         q
+    }
+
+    /// Slab nodes ever allocated, live or free.
+    #[cfg(test)]
+    fn slab_len(&self) -> usize {
+        self.slab.len()
     }
 }
 
@@ -455,7 +509,12 @@ pub mod legacy {
 
     impl<E> HeapQueue<E> {
         pub fn new() -> Self {
-            HeapQueue { heap: BinaryHeap::new(), next_seq: 0, now: 0 }
+            Self::with_next_seq(0)
+        }
+
+        /// An empty queue whose counter starts at `next_seq`.
+        pub fn with_next_seq(next_seq: u64) -> Self {
+            HeapQueue { heap: BinaryHeap::new(), next_seq, now: 0 }
         }
 
         pub fn now(&self) -> Cycle {
@@ -466,6 +525,11 @@ pub mod legacy {
             debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
             let seq = self.next_seq;
             self.next_seq += 1;
+            self.heap.push(Entry { at, seq, payload });
+        }
+
+        /// Schedules with a caller-supplied seq; the counter is untouched.
+        pub fn schedule_with_seq(&mut self, at: Cycle, seq: u64, payload: E) {
             self.heap.push(Entry { at, seq, payload });
         }
 
@@ -532,13 +596,21 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled in the past")]
     fn rejects_past_events() {
         let mut q = EventQueue::new();
         q.schedule(10, ());
         q.pop();
         q.schedule(9, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn rejects_past_events_with_explicit_seq() {
+        let mut q = EventQueue::new();
+        q.schedule(10, ());
+        q.pop();
+        q.schedule_with_seq(9, 7, ());
     }
 
     #[test]
@@ -729,6 +801,24 @@ mod tests {
             }
             assert_eq!(q.pop(), None, "seed {seed}: stray events");
         }
+    }
+
+    #[test]
+    fn freed_nodes_are_reused() {
+        // A steady stream with at most three events pending, spilling and
+        // merging through the far heap, never grows the slab past three.
+        let mut q = EventQueue::new();
+        for i in 0..3u64 {
+            q.schedule(i, i);
+        }
+        for i in 3..10_000u64 {
+            let (at, _) = q.pop().unwrap();
+            let delay = if i % 5 == 0 { 3 * WHEEL } else { i % 7 };
+            q.schedule(at + delay, i);
+        }
+        assert_eq!(q.stats().peak_len, 3);
+        assert_eq!(q.slab_len(), 3);
+        assert!(q.stats().far_merged > 0);
     }
 
     #[test]
@@ -937,13 +1027,56 @@ mod tests {
         use super::*;
         use crate::SplitMix64;
 
+        /// The operation mix of one differential case.
+        #[derive(Clone, Copy)]
+        struct Mix {
+            /// Percent of absolute schedules that land beyond the wheel.
+            far_pct: u64,
+            /// Largest far delay, in wheel turns.
+            far_turns: u64,
+            /// Snapshot and restore the queue under test mid-stream.
+            snapshots: bool,
+            /// Let some schedules carry caller-supplied seqs.
+            explicit_seqs: bool,
+        }
+
+        const BASE: Mix = Mix { far_pct: 10, far_turns: 10, snapshots: false, explicit_seqs: false };
+
+        /// Where both queues' counters start when a case mixes in explicit
+        /// seqs: caller seqs come from below it or from far above the
+        /// counter's reach, so they never collide with counter seqs yet
+        /// land both before and after them in same-cycle order.
+        const COUNTER_BASE: u64 = 1 << 32;
+
+        /// The `k`-th caller-supplied seq: a bijective scramble of `k`, low
+        /// or high of the counter range, so same-cycle explicit events
+        /// arrive in no particular seq order.
+        fn explicit_seq(k: u64, high: bool) -> u64 {
+            let scrambled = k.wrapping_mul(0x9e37_79b9) & 0xffff_ffff;
+            if high {
+                (1 << 40) + scrambled
+            } else {
+                scrambled
+            }
+        }
+
         /// Drives both queues through an identical random op sequence and
         /// asserts every observable matches at every step.
-        fn run_case(seed: u64, ops: usize) {
+        fn run_case(seed: u64, ops: usize, mix: Mix) {
             let mut rng = SplitMix64::new(seed);
-            let mut new_q: EventQueue<u64> = EventQueue::new();
-            let mut old_q: HeapQueue<u64> = HeapQueue::new();
+            let (mut new_q, mut old_q): (EventQueue<u64>, HeapQueue<u64>) = if mix.explicit_seqs {
+                let empty = QueueSnapshot {
+                    now: 0,
+                    next_seq: COUNTER_BASE,
+                    stats: QueueStats::default(),
+                    entries: Vec::new(),
+                };
+                (EventQueue::restore(empty), HeapQueue::with_next_seq(COUNTER_BASE))
+            } else {
+                (EventQueue::new(), HeapQueue::new())
+            };
             let mut payload = 0u64;
+            let mut explicit = 0u64;
             for step in 0..ops {
                 let ctx = || format!("seed {seed} step {step}");
                 match rng.next_below(10) {
@@ -951,17 +1084,28 @@ mod tests {
                     // populated but drain regularly.
                     0..=2 => {
                         // Absolute schedule, biased to land near `now` so
-                        // same-cycle ties are common; occasionally far
-                        // beyond the wheel horizon.
-                        let delta = match rng.next_below(10) {
-                            0 => 0, // exactly at `now`: a same-cycle tie
-                            1..=6 => rng.next_below(64),
-                            7..=8 => rng.next_below(2 * WHEEL),
-                            _ => WHEEL * (2 + rng.next_below(8)),
+                        // same-cycle ties are common; sometimes far beyond
+                        // the wheel horizon.
+                        let delta = if rng.next_below(100) < mix.far_pct {
+                            WHEEL + rng.next_below((mix.far_turns - 1) * WHEEL)
+                        } else {
+                            match rng.next_below(10) {
+                                0 => 0, // exactly at `now`: a same-cycle tie
+                                1..=7 => rng.next_below(64),
+                                _ => rng.next_below(WHEEL),
+                            }
                         };
                         payload += 1;
-                        new_q.schedule(new_q.now() + delta, payload);
-                        old_q.schedule(old_q.now() + delta, payload);
+                        let at = new_q.now() + delta;
+                        if mix.explicit_seqs && rng.next_below(3) == 0 {
+                            explicit += 1;
+                            let seq = explicit_seq(explicit, rng.next_below(2) == 0);
+                            new_q.schedule_with_seq(at, seq, payload);
+                            old_q.schedule_with_seq(at, seq, payload);
+                        } else {
+                            new_q.schedule(at, payload);
+                            old_q.schedule(at, payload);
+                        }
                     }
                     3 => {
                         let delay = match rng.next_below(4) {
@@ -988,10 +1132,23 @@ mod tests {
                             }
                         }
                     }
+                    8 if mix.snapshots => {
+                        let snap = new_q.snapshot();
+                        let restored = EventQueue::restore(snap.clone());
+                        assert_eq!(restored.snapshot(), snap, "re-snapshot differs at {}", ctx());
+                        new_q = restored;
+                    }
                     _ => {
                         assert_eq!(new_q.len(), old_q.len(), "len mismatch at {}", ctx());
                         assert_eq!(new_q.peek_cycle(), old_q.peek_cycle(), "peek mismatch at {}", ctx());
                         assert_eq!(new_q.now(), old_q.now(), "now mismatch at {}", ctx());
+                        // Free-list reuse: the slab only grows when every
+                        // node is live, so it never outgrows the peak.
+                        assert!(
+                            new_q.slab_len() as u64 <= new_q.stats().peak_len,
+                            "slab outgrew the peak at {}",
+                            ctx()
+                        );
                     }
                 }
             }
@@ -1004,18 +1161,51 @@ mod tests {
                     break;
                 }
             }
+            assert!(new_q.slab_len() as u64 <= new_q.stats().peak_len, "seed {seed}: slab outgrew the peak");
         }
 
         #[test]
         fn random_interleavings_match_legacy_heap() {
             for seed in 0..200 {
-                run_case(seed, 400);
+                run_case(seed, 400, BASE);
             }
         }
 
         #[test]
         fn long_dense_interleaving_matches_legacy_heap() {
-            run_case(0xfeed_beef, 20_000);
+            run_case(0xfeed_beef, 20_000, BASE);
+        }
+
+        /// Half the absolute schedules spill, with delays up to four wheel
+        /// turns: the far heap and window merges carry most of the order.
+        #[test]
+        fn far_heavy_streams_match_legacy_heap() {
+            let mix = Mix { far_pct: 50, far_turns: 4, ..BASE };
+            for seed in 0..100 {
+                run_case(0xfa00 + seed, 600, mix);
+            }
+            run_case(0xfa_beef, 20_000, mix);
+        }
+
+        /// The queue under test is snapshotted and replaced by its restored
+        /// copy at random points; the oracle never is.
+        #[test]
+        fn mid_stream_snapshot_restore_matches_legacy_heap() {
+            let mix = Mix { snapshots: true, far_pct: 25, far_turns: 4, ..BASE };
+            for seed in 0..100 {
+                run_case(0x5a00 + seed, 600, mix);
+            }
+        }
+
+        /// Counter-assigned and caller-supplied seqs share buckets and the
+        /// far heap; caller seqs land before and after counter seqs.
+        #[test]
+        fn explicit_seq_mixes_match_legacy_heap() {
+            let mix = Mix { explicit_seqs: true, snapshots: true, far_pct: 25, far_turns: 4 };
+            for seed in 0..100 {
+                run_case(0xe500 + seed, 600, mix);
+            }
+            run_case(0xe5_beef, 20_000, mix);
         }
 
         #[test]

@@ -273,6 +273,12 @@ pub struct Machine {
     parobs: Option<Box<ParCollector>>,
     /// Scratch buffer for draining the classifier's per-event touch log.
     parobs_scratch: Vec<BlockAddr>,
+    /// Emptied [`Effects`] buffers kept for reuse: handlers push into one
+    /// taken from here, and [`Machine::apply_fx`] drains, clears and
+    /// returns it. A nested handler (a flush or atomic issued while effects
+    /// are being applied) takes a second one, so after warm-up the event
+    /// path never allocates for effects.
+    fx_pool: Vec<Effects>,
     /// Guards against a second `run` call.
     ran: bool,
     /// Set by [`Machine::restore`]: the machine resumes mid-run, so `run`
@@ -446,6 +452,7 @@ impl Machine {
             shard_nanos: if sharded && cfg.hostobs.enabled { vec![0; shard_count] } else { vec![] },
             parobs,
             parobs_scratch: Vec::new(),
+            fx_pool: Vec::new(),
             ran: false,
             restored: false,
             popped: 0,
@@ -896,8 +903,9 @@ impl Machine {
                     self.trace_handle(&msg, now);
                     self.parobs_touch_home(&msg);
                     let dst = msg.dst;
-                    let fx = self.nodes[dst].handle_msg(msg, &mut self.clf, now);
-                    self.process_effects(dst, fx, now);
+                    let mut fx = self.take_fx();
+                    self.nodes[dst].handle_msg(msg, &mut self.clf, now, &mut fx);
+                    self.apply_fx(dst, fx, now);
                 }
                 svc => {
                     let cycles = self.service_cycles(svc);
@@ -917,8 +925,9 @@ impl Machine {
                 self.trace_handle(&msg, now);
                 self.parobs_touch_home(&msg);
                 let dst = msg.dst;
-                let fx = self.nodes[dst].handle_msg(msg, &mut self.clf, now);
-                self.process_effects(dst, fx, now);
+                let mut fx = self.take_fx();
+                self.nodes[dst].handle_msg(msg, &mut self.clf, now, &mut fx);
+                self.apply_fx(dst, fx, now);
             }
             Ev::WbIssue(n) => self.try_issue_wb(n, now),
             Ev::Sample => self.take_sample(now),
@@ -1128,8 +1137,10 @@ impl Machine {
                         t += 1;
                         continue;
                     }
-                    let fx = self.nodes[n].cpu_read(addr, &mut self.clf, t);
+                    let mut fx = self.take_fx();
+                    self.nodes[n].cpu_read(addr, &mut self.clf, t, &mut fx);
                     if let Some(v) = fx.read_done {
+                        self.recycle_fx(fx);
                         self.cpus[n].regs[rd] = v;
                         self.cpus[n].pc += 1;
                         t += 1;
@@ -1138,7 +1149,7 @@ impl Machine {
                     self.set_state(n, CpuState::StallRead { rd }, t);
                     self.cpus[n].stall_since = t;
                     self.cpus[n].stall_addr = addr;
-                    self.process_effects(n, fx, t);
+                    self.apply_fx(n, fx, t);
                     return;
                 }
                 Instr::Store(ra, off, rs) => {
@@ -1198,9 +1209,10 @@ impl Machine {
                         self.set_state(n, CpuState::StallFlush { addr }, t);
                         return;
                     }
-                    let fx = self.nodes[n].cpu_flush(addr, &mut self.clf, t);
+                    let mut fx = self.take_fx();
+                    self.nodes[n].cpu_flush(addr, &mut self.clf, t, &mut fx);
                     self.cpus[n].pc += 1;
-                    self.process_effects(n, fx, t);
+                    self.apply_fx(n, fx, t);
                     t += 1;
                 }
                 Instr::Fence => {
@@ -1303,16 +1315,20 @@ impl Machine {
         let (val, from_wb) = match self.wbs[n].forward(addr) {
             Some(v) => (v, true),
             None => {
-                let fx = self.nodes[n].cpu_read(addr, &mut self.clf, *t);
+                let mut fx = self.take_fx();
+                self.nodes[n].cpu_read(addr, &mut self.clf, *t, &mut fx);
                 match fx.read_done {
-                    Some(v) => (v, false),
+                    Some(v) => {
+                        self.recycle_fx(fx);
+                        (v, false)
+                    }
                     None => {
                         // Check missed: fetch the line, then re-execute.
                         self.set_state(n, CpuState::StallSpinRead, *t);
                         self.cpus[n].stall_since = *t;
                         self.cpus[n].stall_addr = addr;
                         self.cpus[n].spin_waited = true;
-                        self.process_effects(n, fx, *t);
+                        self.apply_fx(n, fx, *t);
                         return false;
                     }
                 }
@@ -1363,22 +1379,21 @@ impl Machine {
         // Captured before the operation: once it completes, this processor
         // itself is the last writer and the causal predecessor is gone.
         let writer_before = if self.crit.is_some() { self.clf.last_writer_of(pai.addr) } else { None };
-        let fx = self.nodes[n].cpu_atomic(pai.op, pai.addr, pai.operand, pai.operand2, &mut self.clf, now);
-        if let Some(old) = fx.atomic_done {
+        let mut fx = self.take_fx();
+        self.nodes[n].cpu_atomic(pai.op, pai.addr, pai.operand, pai.operand2, &mut self.clf, now, &mut fx);
+        // Consume atomic_done before generic processing.
+        if let Some(old) = fx.atomic_done.take() {
             self.cpus[n].regs[pai.rd] = old;
             self.cpus[n].pc += 1;
             self.set_state(n, CpuState::Ready, now);
             self.queue.schedule(now + 1, Ev::CpuStep(n));
-            // Consume atomic_done before generic processing.
-            let fx = Effects { atomic_done: None, ..fx };
-            self.process_effects(n, fx, now);
         } else {
             self.set_state(n, CpuState::StallAtomic { rd: pai.rd }, now);
             self.cpus[n].stall_since = now;
             self.cpus[n].stall_addr = pai.addr;
             self.cpus[n].stall_writer = writer_before;
-            self.process_effects(n, fx, now);
         }
+        self.apply_fx(n, fx, now);
     }
 
     fn release_barrier_if_full(&mut self, now: Cycle) {
@@ -1413,8 +1428,32 @@ impl Machine {
     // Effect processing
     // ------------------------------------------------------------------
 
-    fn process_effects(&mut self, x: NodeId, fx: Effects, now: Cycle) {
-        for m in fx.sends {
+    /// An empty effects buffer for one handler call, from the pool when
+    /// one is free.
+    fn take_fx(&mut self) -> Effects {
+        let fx = self.fx_pool.pop().unwrap_or_default();
+        debug_assert!(fx.is_empty());
+        fx
+    }
+
+    /// Clears `fx` and returns it to the pool, keeping its capacity.
+    fn recycle_fx(&mut self, mut fx: Effects) {
+        fx.clear();
+        self.fx_pool.push(fx);
+    }
+
+    /// Applies the effects node `x`'s handler pushed into `fx`, then
+    /// recycles the buffer.
+    fn apply_fx(&mut self, x: NodeId, mut fx: Effects, now: Cycle) {
+        self.process_effects(x, &mut fx, now);
+        self.recycle_fx(fx);
+    }
+
+    /// Turns `fx` into timed events and processor wake-ups. Messages are
+    /// injected in push order, which fixes their tie-breaking sequence
+    /// numbers.
+    fn process_effects(&mut self, x: NodeId, fx: &mut Effects, now: Cycle) {
+        for m in fx.sends.drain(..) {
             if let Some(t) = &mut self.trace {
                 t.push(crate::trace::TraceEvent::Send {
                     at: now,
@@ -1453,7 +1492,7 @@ impl Machine {
             }
             self.queue.schedule(at, Ev::Deliver(m));
         }
-        for m in fx.requeue_home {
+        for m in fx.requeue_home.drain(..) {
             // Deferred directory requests were charged their full memory
             // service on first arrival; re-dispatch after the blocking
             // transaction completes is a controller action, not a new DRAM
@@ -1502,10 +1541,13 @@ impl Machine {
                 CpuState::StallFlush { addr } => {
                     let block = self.geom.block_of(addr);
                     if !self.wbs[x].has_write_in_block(block.0, self.cfg.cache.block_bytes) {
-                        let fx2 = self.nodes[x].cpu_flush(addr, &mut self.clf, now);
+                        // `fx` is still being applied: the flush gets a
+                        // buffer of its own.
+                        let mut flush_fx = self.take_fx();
+                        self.nodes[x].cpu_flush(addr, &mut self.clf, now, &mut flush_fx);
                         self.cpus[x].pc += 1;
                         self.wake_cpu(x, now + 1);
-                        self.process_effects(x, fx2, now);
+                        self.apply_fx(x, flush_fx, now);
                     }
                 }
                 _ => {}
@@ -1567,8 +1609,9 @@ impl Machine {
         }
         if let Some(w) = self.wbs[n].head_to_issue() {
             self.wbs[n].mark_head_issued();
-            let fx = self.nodes[n].issue_write(w.addr, w.val, &mut self.clf, now);
-            self.process_effects(n, fx, now);
+            let mut fx = self.take_fx();
+            self.nodes[n].issue_write(w.addr, w.val, &mut self.clf, now, &mut fx);
+            self.apply_fx(n, fx, now);
         }
     }
 }

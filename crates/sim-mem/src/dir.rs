@@ -49,9 +49,16 @@ impl SharerSet {
         self.0 == 0
     }
 
-    /// Iterates member node ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..64).filter(|&n| self.contains(n))
+    /// Iterates member node ids in ascending order, visiting set bits only.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let n = bits.trailing_zeros() as NodeId;
+                bits &= bits - 1;
+                n
+            })
+        })
     }
 
     /// The raw bitmap, for checkpointing.
@@ -185,6 +192,19 @@ mod tests {
         assert_eq!(s.len(), 1);
         s.remove(0); // removing twice is a no-op
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn sharer_iteration_is_ascending_over_set_bits() {
+        let members = [0, 1, 5, 31, 32, 62, 63];
+        let mut s = SharerSet::empty();
+        for &n in members.iter().rev() {
+            s.insert(n);
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), members);
+        let full = SharerSet::from_bits(u64::MAX);
+        assert_eq!(full.iter().collect::<Vec<_>>(), (0..64).collect::<Vec<_>>());
+        assert_eq!(SharerSet::empty().iter().next(), None);
     }
 
     #[test]

@@ -7,7 +7,10 @@ use crate::msg::Msg;
 /// What a protocol handler wants the machine to do.
 ///
 /// Handlers are pure state transitions over one node; everything with a
-/// time dimension is expressed here and scheduled by `sim-machine`.
+/// time dimension is pushed into an `Effects` buffer the caller owns and
+/// scheduled by `sim-machine`. The machine drains the buffer after each
+/// handler and [`Effects::clear`]s it for the next one, so the vectors keep
+/// their capacity and the per-event path never allocates for them.
 /// Observability stays out of this struct by design: handlers report
 /// classification and line-provenance facts straight into the
 /// [`sim_stats::Classifier`] they are handed, which is a passive sink —
@@ -15,7 +18,8 @@ use crate::msg::Msg;
 /// traffic are identical whether provenance capture is on or off.
 #[derive(Debug, Default)]
 pub struct Effects {
-    /// Messages to inject into the network now.
+    /// Messages to inject into the network now, in send order (the order
+    /// fixes the events' tie-breaking sequence numbers).
     pub sends: Vec<Msg>,
     /// Requests to re-process at this node's home memory (directory
     /// transactions deferred while the block was busy). Each passes through
@@ -36,31 +40,35 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// No-op effects.
-    pub fn none() -> Self {
-        Effects::default()
+    /// Resets every field, keeping the vectors' capacity.
+    pub fn clear(&mut self) {
+        self.sends.clear();
+        self.requeue_home.clear();
+        self.read_done = None;
+        self.write_retired = false;
+        self.atomic_done = None;
+        self.touched_blocks.clear();
+        self.sync_progress = false;
     }
 
-    /// Effects consisting only of outgoing messages.
-    pub fn send(msgs: Vec<Msg>) -> Self {
-        Effects { sends: msgs, ..Default::default() }
+    /// Whether the buffer holds nothing at all.
+    pub fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+            && self.requeue_home.is_empty()
+            && self.read_done.is_none()
+            && !self.write_retired
+            && self.atomic_done.is_none()
+            && self.touched_blocks.is_empty()
+            && !self.sync_progress
     }
+}
 
-    /// Merges `other` into `self`.
-    pub fn merge(&mut self, other: Effects) {
-        self.sends.extend(other.sends);
-        self.requeue_home.extend(other.requeue_home);
-        debug_assert!(
-            !(self.read_done.is_some() && other.read_done.is_some()),
-            "two reads completed in one handler"
-        );
-        self.read_done = self.read_done.take().or(other.read_done);
-        self.write_retired |= other.write_retired;
-        debug_assert!(!(self.atomic_done.is_some() && other.atomic_done.is_some()));
-        self.atomic_done = self.atomic_done.take().or(other.atomic_done);
-        self.touched_blocks.extend(other.touched_blocks);
-        self.sync_progress |= other.sync_progress;
-    }
+/// Runs `handler` against a fresh buffer and returns what it pushed.
+#[cfg(test)]
+pub(crate) fn collect(handler: impl FnOnce(&mut Effects)) -> Effects {
+    let mut fx = Effects::default();
+    handler(&mut fx);
+    fx
 }
 
 #[cfg(test)]
@@ -68,18 +76,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_combines_fields() {
-        let mut a = Effects { write_retired: true, ..Default::default() };
-        let b = Effects {
+    fn clear_resets_every_field_and_keeps_capacity() {
+        let mut fx = Effects {
             read_done: Some(7),
+            write_retired: true,
+            atomic_done: Some(3),
             touched_blocks: vec![BlockAddr(0x40)],
             sync_progress: true,
             ..Default::default()
         };
-        a.merge(b);
-        assert!(a.write_retired);
-        assert_eq!(a.read_done, Some(7));
-        assert_eq!(a.touched_blocks, vec![BlockAddr(0x40)]);
-        assert!(a.sync_progress);
+        assert!(!fx.is_empty());
+        fx.clear();
+        assert!(fx.is_empty());
+        assert!(fx.touched_blocks.capacity() >= 1, "capacity survives the clear");
     }
 }

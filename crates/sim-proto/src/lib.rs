@@ -3,10 +3,11 @@
 //!
 //! This crate contains the protocol *policy* — every state transition, every
 //! message, every classification hook — as functions over per-node state
-//! ([`ProtoNode`]). It performs no scheduling itself: handlers return
-//! [`Effects`] describing messages to send and completions to signal, and
-//! the machine layer (`sim-machine`) turns those into timed events. This
-//! split keeps the protocols unit-testable without a network or clock.
+//! ([`ProtoNode`]). It performs no scheduling itself: handlers push
+//! messages to send and completions to signal into an [`Effects`] buffer
+//! the caller owns, and the machine layer (`sim-machine`) turns those into
+//! timed events. This split keeps the protocols unit-testable without a
+//! network or clock.
 //!
 //! Protocol summaries (Section 3.1 of the paper):
 //!

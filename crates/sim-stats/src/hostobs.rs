@@ -72,7 +72,10 @@ impl HostObsConfig {
 /// The dispatch category a slice of host wall-time is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostCat {
-    /// `EventQueue::pop` (bitmap scan, window advance, far-heap merge).
+    /// Event-queue pops: the occupancy-bitmap scan to the next wheel slot,
+    /// unlinking its head node from the slab, and the window advance that
+    /// links far-heap entries into the slots it newly covers (on the
+    /// sharded core, also the epoch barrier's handoff drain).
     Pop,
     /// Processor interpretation (`Ev::CpuStep` handling).
     CpuStep,

@@ -1,0 +1,88 @@
+//! Allocation budget of the event hot path.
+//!
+//! A counting global allocator tallies the heap allocations made on the
+//! thread that runs `Machine::run`, and each test divides them by the
+//! events dispatched. Event-queue nodes and protocol-handler effects are
+//! recycled, so what remains per event is mostly block data carried by
+//! messages. Each budget is half the rate this code had while the queue
+//! kept one growable bucket per wheel slot and every handler returned a
+//! freshly allocated effects struct.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use kernels::locks;
+use kernels::workloads::{LockKind, LockWorkload, PostRelease};
+use sim_machine::{Machine, MachineConfig};
+use sim_proto::Protocol;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread; tests run on threads of their own.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to the system allocator; the
+// counter is a plain thread-local that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations per dispatched event while an 8-processor MCS-lock
+/// cell runs under `protocol` (set-up and verification excluded). The
+/// budgets below halve the old rates: 0.813 under WI and 0.949 under PU.
+fn allocs_per_event(protocol: Protocol) -> f64 {
+    let w = LockWorkload {
+        kind: LockKind::Mcs,
+        total_acquires: 800,
+        cs_cycles: 50,
+        post_release: PostRelease::None,
+    };
+    let mut m = Machine::new(MachineConfig::paper(8, protocol));
+    let layout = locks::install(&mut m, &w);
+    let before = ALLOCS.with(Cell::get);
+    m.run();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    locks::verify(&mut m, &w, &layout);
+    allocs as f64 / m.events_dispatched() as f64
+}
+
+#[test]
+fn wi_cell_stays_within_its_allocation_budget() {
+    const BUDGET: f64 = 0.813 / 2.0;
+    let rate = allocs_per_event(Protocol::WriteInvalidate);
+    assert!(rate <= BUDGET, "WI: {rate:.3} allocations per event, budget {BUDGET:.3}");
+}
+
+#[test]
+fn pu_cell_stays_within_its_allocation_budget() {
+    const BUDGET: f64 = 0.949 / 2.0;
+    let rate = allocs_per_event(Protocol::PureUpdate);
+    assert!(rate <= BUDGET, "PU: {rate:.3} allocations per event, budget {BUDGET:.3}");
+}

@@ -16,9 +16,22 @@ use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, P
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
 use ppc_bench::{render_latency_table, render_miss_table, render_update_table};
 use sim_proto::Protocol;
+use std::sync::{Mutex, MutexGuard};
 
 const PROCS: [usize; 3] = [1, 2, 4];
 const TRAFFIC_AT: usize = 4;
+
+/// Every test here clears and then reads the process-wide sweep memo, and
+/// `cargo test` runs tests on parallel threads, so each test holds this
+/// lock: otherwise another test can refill the memo with the same cells
+/// between a `clear_memo` and the stats it checks.
+static MEMO_LOCK: Mutex<()> = Mutex::new(());
+
+fn memo_lock() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; every test clears the memo before
+    // relying on it, so the state behind the lock is still usable.
+    MEMO_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn small_lock(kind: LockKind) -> KernelSpec {
     KernelSpec::Lock(LockWorkload {
@@ -64,6 +77,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn worker_count_does_not_change_a_single_byte() {
+    let _memo = memo_lock();
     let reference = render_all(&SweepOptions::serial_uncached());
     for workers in [2, 8] {
         sweep::clear_memo();
@@ -74,6 +88,7 @@ fn worker_count_does_not_change_a_single_byte() {
 
 #[test]
 fn warm_disk_cache_replays_byte_identical_tables() {
+    let _memo = memo_lock();
     let reference = render_all(&SweepOptions::serial_uncached());
     let dir = scratch_dir("warm");
     let opts = SweepOptions { workers: 4, disk_cache: Some(dir.clone()) };
@@ -96,6 +111,7 @@ fn warm_disk_cache_replays_byte_identical_tables() {
 /// never served as the other cell's result.
 #[test]
 fn poisoned_entry_under_stale_key_is_resimulated() {
+    let _memo = memo_lock();
     let dir = scratch_dir("poison");
     let opts = SweepOptions { workers: 1, disk_cache: Some(dir.clone()) };
     let victim = RunSpec::paper(2, Protocol::WriteInvalidate, small_lock(LockKind::Ticket));
@@ -126,6 +142,7 @@ fn poisoned_entry_under_stale_key_is_resimulated() {
 /// A corrupted payload (checksum no longer matches) is likewise a miss.
 #[test]
 fn corrupted_payload_is_resimulated() {
+    let _memo = memo_lock();
     let dir = scratch_dir("corrupt");
     let opts = SweepOptions { workers: 1, disk_cache: Some(dir.clone()) };
     let spec = RunSpec::paper(2, Protocol::PureUpdate, small_lock(LockKind::Mcs));
