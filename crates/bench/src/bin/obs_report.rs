@@ -19,10 +19,12 @@
 
 use std::process::ExitCode;
 
-use ppc_bench::observed::{kernel_by_name, protocol_name, run_observed, summary_line, DiagArgs};
+use ppc_bench::observed::{
+    kernel_by_name, protocol_name, report_document, report_run_json, run_observed, summary_line, DiagArgs,
+};
 use ppc_bench::PROTOCOLS;
 use sim_machine::export_run;
-use sim_stats::{ChromeTrace, Json};
+use sim_stats::ChromeTrace;
 
 fn main() -> ExitCode {
     let args = match DiagArgs::parse() {
@@ -77,25 +79,10 @@ fn main() -> ExitCode {
         } else {
             println!("{status}");
         }
-        let obs = r.obs.as_ref().expect("machine ran observed");
-        runs.push(Json::obj([
-            ("protocol", Json::from(label)),
-            ("cycles", Json::U64(r.cycles)),
-            ("instructions", Json::U64(r.instructions)),
-            ("trace_dropped", Json::U64(r.trace_dropped)),
-            ("traffic", r.traffic.to_json()),
-            ("obs", obs.to_json()),
-        ]));
+        runs.push(report_run_json(label, &r));
     }
 
-    // Canonical key order: repeated runs of the same spec emit
-    // byte-identical report documents.
-    let report = Json::obj([
-        ("kernel", Json::from(kernel_name)),
-        ("procs", Json::from(procs)),
-        ("runs", Json::Arr(runs)),
-    ])
-    .canonical();
+    let report = report_document(kernel_name, procs, runs);
     let report_path = format!("{out_dir}/report.json");
     let trace_path = format!("{out_dir}/trace.json");
     if let Err(e) = std::fs::write(&report_path, report.render_pretty()) {

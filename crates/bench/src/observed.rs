@@ -112,6 +112,30 @@ pub fn observed_json(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> Js
         .canonical()
 }
 
+/// One protocol's entry in the `obs_report` document: cycles,
+/// instructions, dropped trace events, classified traffic, and the full
+/// observability report (stall accounts, lineage, critical path, network
+/// telemetry).
+pub fn report_run_json(label: &str, r: &RunResult) -> Json {
+    let obs = r.obs.as_ref().expect("machine ran observed");
+    Json::obj([
+        ("protocol", Json::from(label)),
+        ("cycles", Json::U64(r.cycles)),
+        ("instructions", Json::U64(r.instructions)),
+        ("trace_dropped", Json::U64(r.trace_dropped)),
+        ("traffic", r.traffic.to_json()),
+        ("obs", obs.to_json()),
+    ])
+}
+
+/// The `obs_report` document over its per-protocol entries (see
+/// [`report_run_json`]). Canonical key order: repeated runs of the same
+/// spec emit byte-identical documents.
+pub fn report_document(kernel_name: &str, procs: usize, runs: Vec<Json>) -> Json {
+    Json::obj([("kernel", Json::from(kernel_name)), ("procs", Json::from(procs)), ("runs", Json::Arr(runs))])
+        .canonical()
+}
+
 /// The kernels the diagnostic binaries accept by name, at the current
 /// `PPC_SCALE` workload.
 pub fn kernel_by_name(name: &str) -> Option<KernelSpec> {
