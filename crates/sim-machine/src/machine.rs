@@ -647,10 +647,10 @@ impl Machine {
             let mut o = collector.finish(end, gauges.clone(), links);
             o.lineage = self.clf.take_lineage();
             o.crit = self.crit.take().map(|c| c.finish(end));
-            o.netobs = self
-                .netobs
-                .take()
-                .map(|c| c.finish(end, self.net.phys_link_flits(), &gauges, self.clf.take_home_stats()));
+            o.netobs = self.netobs.take().map(|c| {
+                let homes = self.clf.take_home_stats();
+                c.finish(end, self.net.phys_link_flits(), &gauges, homes, self.clf.structure_names())
+            });
             o
         });
         let par = self.parobs.take().map(|p| {
@@ -1474,13 +1474,14 @@ impl Machine {
                 self.net.send(now, m.src, m.dst, m.payload_bytes())
             };
             if let Some(obs) = self.obs.as_mut() {
-                obs.count_msg(m.kind.name(), at - now);
+                obs.count_msg(m.kind.ordinal(), m.kind.name(), at - now);
             }
             if let Some(no) = self.netobs.as_mut() {
                 match self.net.take_last_journey() {
                     Some(j) => {
                         let home = self.geom.home_of(m.addr);
-                        no.record(m.kind.name(), self.clf.structure_name_of(m.addr), home, &j);
+                        let structure = self.clf.structure_of(m.addr);
+                        no.record(m.kind.ordinal(), m.kind.name(), structure, home, &j);
                     }
                     None => no.record_local(m.kind.name(), at - now),
                 }

@@ -22,8 +22,7 @@ pub mod mesh;
 
 pub use mesh::MeshShape;
 
-use std::collections::BTreeMap;
-
+use mesh::LinkIndex;
 use sim_engine::{Cycle, FifoServer, NodeId};
 
 /// Static network parameters (defaults follow the paper).
@@ -151,8 +150,7 @@ impl Journey {
 /// [`Network::link_flits`]. Indexed per [`MeshShape::links`].
 #[derive(Debug, Clone)]
 struct PhysLinkStats {
-    links: Vec<(NodeId, NodeId)>,
-    index: BTreeMap<(NodeId, NodeId), usize>,
+    index: LinkIndex,
     flits: Vec<u64>,
 }
 
@@ -164,15 +162,16 @@ pub struct Network {
     tx: Vec<FifoServer>,
     rx: Vec<FifoServer>,
     counters: NetCounters,
-    /// Per-(src, dst) flit counts; `None` until enabled (the map costs a
-    /// lookup per message, so it is an opt-in observability feature).
-    link_flits: Option<BTreeMap<(NodeId, NodeId), u64>>,
+    /// Per-(src, dst) flit counts as a dense `nodes × nodes` matrix, row
+    /// `src`; an entry is `Some` once a remote message took that pair.
+    /// `None` until enabled (an opt-in observability feature).
+    link_flits: Option<Vec<Option<u64>>>,
     /// When on, each mesh `send` leaves its decomposed delivery record in
     /// `last_journey` for the caller to take and tag (opt-in).
     record_journeys: bool,
     last_journey: Option<Journey>,
     /// Physical directed-link flit counters; `None` until enabled (each
-    /// message walks its route once when on).
+    /// message walks its route once when on, without allocating).
     phys: Option<PhysLinkStats>,
 }
 
@@ -198,16 +197,17 @@ impl Network {
     /// [`NetCounters::flits`]).
     pub fn enable_link_stats(&mut self) {
         if self.link_flits.is_none() {
-            self.link_flits = Some(BTreeMap::new());
+            self.link_flits = Some(vec![None; self.tx.len() * self.tx.len()]);
         }
     }
 
     /// Per-(source, destination) flit counts, in node order; empty unless
     /// [`Network::enable_link_stats`] was called.
     pub fn link_flits(&self) -> Vec<(NodeId, NodeId, u64)> {
+        let n = self.tx.len();
         self.link_flits
             .as_ref()
-            .map(|m| m.iter().map(|(&(s, d), &f)| (s, d, f)).collect())
+            .map(|m| m.iter().enumerate().filter_map(|(i, f)| f.map(|f| (i / n, i % n, f))).collect())
             .unwrap_or_default()
     }
 
@@ -232,10 +232,9 @@ impl Network {
     /// message of `f` flits over `h` hops adds `f` to each of `h` links.
     pub fn enable_phys_link_stats(&mut self) {
         if self.phys.is_none() {
-            let links = self.shape.links();
-            let index = links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-            let flits = vec![0; links.len()];
-            self.phys = Some(PhysLinkStats { links, index, flits });
+            let index = LinkIndex::new(self.shape);
+            let flits = vec![0; index.len()];
+            self.phys = Some(PhysLinkStats { index, flits });
         }
     }
 
@@ -245,7 +244,7 @@ impl Network {
     pub fn phys_link_flits(&self) -> Vec<(NodeId, NodeId, u64)> {
         self.phys
             .as_ref()
-            .map(|p| p.links.iter().zip(&p.flits).map(|(&(a, b), &f)| (a, b, f)).collect())
+            .map(|p| self.shape.links().into_iter().zip(&p.flits).map(|((a, b), &f)| (a, b, f)).collect())
             .unwrap_or_default()
     }
 
@@ -290,12 +289,10 @@ impl Network {
         self.counters.flits += flits;
         self.counters.total_hops += hops;
         if let Some(links) = self.link_flits.as_mut() {
-            *links.entry((src, dst)).or_insert(0) += flits;
+            *links[src * self.tx.len() + dst].get_or_insert(0) += flits;
         }
-        if let Some(p) = self.phys.as_mut() {
-            for w in self.shape.route(src, dst).windows(2) {
-                p.flits[p.index[&(w[0], w[1])]] += flits;
-            }
+        if let Some(PhysLinkStats { index, flits: link }) = self.phys.as_mut() {
+            index.for_each_hop(src, dst, |i| link[i] += flits);
         }
 
         // Source port: all flits leave the NI back to back.

@@ -122,7 +122,9 @@ impl MeshShape {
     }
 
     /// The dimension-ordered route from `a` to `b`, inclusive of both
-    /// endpoints. Provided for tests and tooling; the latency model only
+    /// endpoints. This allocates, so the network's per-message
+    /// physical-link accounting walks the same route without building it
+    /// (tests check that walk against this path); the latency model only
     /// needs [`MeshShape::hops`].
     pub fn route(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
         let (ax, ay) = self.coords(a);
@@ -141,9 +143,101 @@ impl MeshShape {
     }
 }
 
+/// Indices into [`MeshShape::links`] order for the hops of a
+/// dimension-ordered route, found without materializing the route or the
+/// link list. `first[n]` counts the out-links of every node below `n`, and
+/// a node's own out-links follow in up, left, right, down order (ascending
+/// destination), so each hop's index is `first[n]` plus the number of
+/// earlier directions node `n` has. Set-up is O(nodes).
+#[derive(Debug, Clone)]
+pub(crate) struct LinkIndex {
+    cols: usize,
+    /// Out-link prefix counts, one per node plus the total link count.
+    first: Vec<usize>,
+}
+
+impl LinkIndex {
+    pub(crate) fn new(shape: MeshShape) -> Self {
+        let mut first = Vec::with_capacity(shape.nodes() + 1);
+        let mut total = 0;
+        for n in 0..shape.nodes() {
+            first.push(total);
+            let (x, y) = shape.coords(n);
+            total += usize::from(y > 0)
+                + usize::from(x > 0)
+                + usize::from(x + 1 < shape.cols)
+                + usize::from(y + 1 < shape.rows);
+        }
+        first.push(total);
+        LinkIndex { cols: shape.cols, first }
+    }
+
+    /// Number of directed links.
+    pub(crate) fn len(&self) -> usize {
+        self.first[self.first.len() - 1]
+    }
+
+    /// Calls `f` with the link index of every hop from `a` to `b`, in
+    /// route order (X first, then Y).
+    pub(crate) fn for_each_hop(&self, a: NodeId, b: NodeId, mut f: impl FnMut(usize)) {
+        let cols = self.cols;
+        let (mut x, mut y) = (a % cols, a / cols);
+        let (bx, by) = (b % cols, b / cols);
+        let mut n = a;
+        // X leg along row `y`: right skips the up and left links, left
+        // skips only the up link.
+        let up = usize::from(y > 0);
+        while x < bx {
+            f(self.first[n] + up + usize::from(x > 0));
+            x += 1;
+            n += 1;
+        }
+        while x > bx {
+            f(self.first[n] + up);
+            x -= 1;
+            n -= 1;
+        }
+        // Y leg along column `x`: down skips up, left and right; up is a
+        // node's first link.
+        let sides = usize::from(x > 0) + usize::from(x + 1 < cols);
+        while y < by {
+            f(self.first[n] + usize::from(y > 0) + sides);
+            y += 1;
+            n += cols;
+        }
+        while y > by {
+            f(self.first[n]);
+            y -= 1;
+            n -= cols;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn route_walk_credits_the_links_of_the_route() {
+        for nodes in [1usize, 2, 4, 7, 8, 16, 32] {
+            let m = MeshShape::for_nodes(nodes);
+            let links = m.links();
+            let index = LinkIndex::new(m);
+            assert_eq!(index.len(), links.len());
+            for a in 0..nodes {
+                for b in 0..nodes {
+                    let expected: Vec<usize> = m
+                        .route(a, b)
+                        .windows(2)
+                        .map(|w| links.iter().position(|&l| l == (w[0], w[1])).expect("route hop is a link"))
+                        .collect();
+                    let mut walked = Vec::new();
+                    index.for_each_hop(a, b, |i| walked.push(i));
+                    assert_eq!(walked, expected, "{nodes} nodes, {a} -> {b}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn paper_machine_shapes() {

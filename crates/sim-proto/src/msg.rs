@@ -262,120 +262,64 @@ fn encode_opt_block(w: &mut SnapWriter, data: &Option<Box<[Word]>>) {
 }
 
 impl Msg {
-    /// Appends the message to a snapshot payload. Variant tags follow the
-    /// [`MsgKind`] declaration order; [`Msg::decode`] inverts exactly.
+    /// Appends the message to a snapshot payload. The variant tag is
+    /// [`MsgKind::ordinal`]; [`Msg::decode`] inverts exactly.
     pub fn encode(&self, w: &mut SnapWriter) {
         use MsgKind::*;
         w.usize(self.src);
         w.usize(self.dst);
         w.u32(self.addr);
+        w.u8(self.kind.ordinal() as u8);
         match &self.kind {
-            ReadShared => w.u8(0),
-            GetX => w.u8(1),
-            Upgrade => w.u8(2),
-            UpdateWrite { val } => {
-                w.u8(3);
-                w.u32(*val);
-            }
-            UpdateWriteAlloc { val } => {
-                w.u8(4);
-                w.u32(*val);
-            }
+            ReadShared | GetX | Upgrade | SharerDrop | StopUpdate | InvAck | UpdateAck => {}
+            UpdateWrite { val } | UpdateWriteAlloc { val } => w.u32(*val),
             AtomicReq { op, operand, operand2 } => {
-                w.u8(5);
                 w.u8(op.tag());
                 w.u32(*operand);
                 w.u32(*operand2);
             }
-            WriteBack { data } => {
-                w.u8(6);
-                encode_block(w, data);
+            WriteBack { data } | Data { data } | DataFwd { data } | DataXFwd { data } => {
+                encode_block(w, data)
             }
-            SharerDrop => w.u8(7),
-            StopUpdate => w.u8(8),
-            Data { data } => {
-                w.u8(9);
-                encode_block(w, data);
-            }
-            DataX { data, acks } => {
-                w.u8(10);
+            DataX { data, acks } | DataUpd { data, acks } => {
                 encode_block(w, data);
                 w.u32(*acks);
             }
-            UpgradeAck { acks } => {
-                w.u8(11);
-                w.u32(*acks);
-            }
+            UpgradeAck { acks } => w.u32(*acks),
             UpdateInfo { acks, go_private } => {
-                w.u8(12);
                 w.u32(*acks);
                 w.bool(*go_private);
             }
-            DataUpd { data, acks } => {
-                w.u8(13);
-                encode_block(w, data);
-                w.u32(*acks);
-            }
             UpdateMsg { val, writer, acks_to } => {
-                w.u8(14);
                 w.u32(*val);
                 w.usize(*writer);
                 w.usize(*acks_to);
             }
             AtomicReply { old, data, acks } => {
-                w.u8(15);
                 w.u32(*old);
                 encode_opt_block(w, data);
                 w.u32(*acks);
             }
-            Inval { requester, writer } => {
-                w.u8(16);
+            Inval { requester, writer } | FetchInv { requester, writer } => {
                 w.usize(*requester);
                 w.usize(*writer);
             }
-            Fetch { requester } => {
-                w.u8(17);
-                w.usize(*requester);
-            }
-            FetchInv { requester, writer } => {
-                w.u8(18);
-                w.usize(*requester);
-                w.usize(*writer);
-            }
+            Fetch { requester } => w.usize(*requester),
             RecallUpd { requester, for_atomic } => {
-                w.u8(19);
                 w.usize(*requester);
                 w.bool(*for_atomic);
-            }
-            InvAck => w.u8(20),
-            UpdateAck => w.u8(21),
-            DataFwd { data } => {
-                w.u8(22);
-                encode_block(w, data);
-            }
-            DataXFwd { data } => {
-                w.u8(23);
-                encode_block(w, data);
             }
             SharingWB { data, requester } => {
-                w.u8(24);
                 encode_block(w, data);
                 w.usize(*requester);
             }
-            OwnershipXfer { to } => {
-                w.u8(25);
-                w.usize(*to);
-            }
+            OwnershipXfer { to } => w.usize(*to),
             RecallReply { data, requester, for_atomic } => {
-                w.u8(26);
                 encode_block(w, data);
                 w.usize(*requester);
                 w.bool(*for_atomic);
             }
-            FetchMiss { original } => {
-                w.u8(27);
-                original.encode(w);
-            }
+            FetchMiss { original } => original.encode(w),
         }
     }
 
@@ -425,6 +369,47 @@ impl Msg {
 }
 
 impl MsgKind {
+    /// Number of message kinds; every [`MsgKind::ordinal`] is below it.
+    pub const COUNT: usize = 28;
+
+    /// Dense index of the variant in declaration order, below
+    /// [`MsgKind::COUNT`]. Collectors count by it and resolve it to
+    /// [`MsgKind::name`] only when they build a report; snapshots use it
+    /// as the variant tag.
+    pub fn ordinal(&self) -> usize {
+        use MsgKind::*;
+        match self {
+            ReadShared => 0,
+            GetX => 1,
+            Upgrade => 2,
+            UpdateWrite { .. } => 3,
+            UpdateWriteAlloc { .. } => 4,
+            AtomicReq { .. } => 5,
+            WriteBack { .. } => 6,
+            SharerDrop => 7,
+            StopUpdate => 8,
+            Data { .. } => 9,
+            DataX { .. } => 10,
+            UpgradeAck { .. } => 11,
+            UpdateInfo { .. } => 12,
+            DataUpd { .. } => 13,
+            UpdateMsg { .. } => 14,
+            AtomicReply { .. } => 15,
+            Inval { .. } => 16,
+            Fetch { .. } => 17,
+            FetchInv { .. } => 18,
+            RecallUpd { .. } => 19,
+            InvAck => 20,
+            UpdateAck => 21,
+            DataFwd { .. } => 22,
+            DataXFwd { .. } => 23,
+            SharingWB { .. } => 24,
+            OwnershipXfer { .. } => 25,
+            RecallReply { .. } => 26,
+            FetchMiss { .. } => 27,
+        }
+    }
+
     /// Short variant name (tracing / diagnostics).
     pub fn name(&self) -> &'static str {
         use MsgKind::*;
@@ -498,10 +483,11 @@ mod tests {
         assert_eq!(msg(MsgKind::FetchMiss { original: Box::new(orig) }).payload_bytes(), 0);
     }
 
-    #[test]
-    fn codec_round_trips_every_variant() {
+    /// One message of every kind in declaration order, plus the second
+    /// `AtomicReply` shape and a nested `FetchMiss`.
+    fn every_variant() -> Vec<Msg> {
         let block = || vec![3u32; 16].into_boxed_slice();
-        let originals: Vec<Msg> = vec![
+        vec![
             msg(MsgKind::ReadShared),
             msg(MsgKind::GetX),
             msg(MsgKind::Upgrade),
@@ -537,7 +523,24 @@ mod tests {
                     original: Box::new(msg(MsgKind::DataX { data: block(), acks: 1 })),
                 })),
             }),
-        ];
+        ]
+    }
+
+    #[test]
+    fn ordinals_are_dense_in_declaration_order() {
+        let mut ordinals: Vec<usize> = every_variant().iter().map(|m| m.kind.ordinal()).collect();
+        assert!(ordinals.windows(2).all(|w| w[0] <= w[1]), "declaration order");
+        ordinals.dedup();
+        assert_eq!(ordinals, (0..MsgKind::COUNT).collect::<Vec<_>>());
+        let mut names: Vec<&str> = every_variant().iter().map(|m| m.kind.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), MsgKind::COUNT, "one name per ordinal");
+    }
+
+    #[test]
+    fn codec_round_trips_every_variant() {
+        let originals = every_variant();
         let mut w = sim_engine::SnapWriter::new();
         for m in &originals {
             m.encode(&mut w);

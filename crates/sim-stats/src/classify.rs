@@ -8,6 +8,7 @@ use sim_mem::{Addr, BlockAddr, Geometry};
 
 use crate::lineage::{Lineage, LineageReport};
 use crate::report::{MissClass, MissStats, TrafficReport, UpdateClass, UpdateStats};
+use crate::structures::StructureTable;
 
 /// Per-home-node update accounting for the network telemetry layer: which
 /// home directory's traffic turned out useful vs useless, and how many
@@ -74,7 +75,7 @@ pub struct Classifier {
     /// Live update records per (node, block) → word index → record.
     live_updates: HashMap<(NodeId, BlockAddr), HashMap<usize, UpdateRec>>,
     /// Registered data-structure address ranges for attribution.
-    structures: Vec<StructureRange>,
+    structures: StructureTable,
     report: TrafficReport,
     finished: bool,
     /// Per-line provenance recorder (PR 3). `None` — the default — keeps
@@ -92,14 +93,6 @@ pub struct Classifier {
     touch_log: Option<Vec<BlockAddr>>,
 }
 
-/// A named address range for per-structure traffic attribution.
-#[derive(Debug, Clone)]
-struct StructureRange {
-    name: String,
-    lo: Addr,
-    hi: Addr,
-}
-
 impl Classifier {
     /// Creates a classifier for a machine with the given geometry.
     pub fn new(geom: Geometry) -> Self {
@@ -108,7 +101,7 @@ impl Classifier {
             last_writer: HashMap::new(),
             copies: HashMap::new(),
             live_updates: HashMap::new(),
-            structures: Vec::new(),
+            structures: StructureTable::default(),
             report: TrafficReport::default(),
             finished: false,
             lineage: None,
@@ -227,7 +220,7 @@ impl Classifier {
     /// half-open `[addr, addr + words*4)`; later registrations win on
     /// overlap.
     pub fn register_structure(&mut self, name: &str, addr: Addr, words: u32) {
-        self.structures.push(StructureRange { name: name.to_string(), lo: addr, hi: addr + 4 * words });
+        self.structures.push(name, addr, addr + 4 * words);
         self.report.by_structure.push(crate::report::StructureTraffic {
             name: name.to_string(),
             misses: Default::default(),
@@ -238,14 +231,17 @@ impl Classifier {
         }
     }
 
-    fn structure_of(&self, addr: Addr) -> Option<usize> {
-        self.structures.iter().rposition(|r| (r.lo..r.hi).contains(&addr))
+    /// The registered structure covering `addr`, if any, as its index in
+    /// registration order (later registrations win on overlap, matching
+    /// traffic attribution). Resolve it with
+    /// [`Classifier::structure_names`].
+    pub fn structure_of(&mut self, addr: Addr) -> Option<usize> {
+        self.structures.lookup(addr)
     }
 
-    /// The registered structure name covering `addr`, if any (later
-    /// registrations win on overlap, matching traffic attribution).
-    pub fn structure_name_of(&self, addr: Addr) -> Option<&str> {
-        self.structure_of(addr).map(|i| self.structures[i].name.as_str())
+    /// Registered structure names, in registration order.
+    pub fn structure_names(&self) -> &[String] {
+        self.structures.names()
     }
 
     /// The last globally-visible writer of `addr` and the commit cycle —

@@ -48,6 +48,7 @@ use sim_mem::Addr;
 
 use crate::json::Json;
 use crate::obs::{CpuClass, CycleAccount, CPU_CLASSES};
+use crate::structures::StructureTable;
 
 /// Cap on stored per-lock handoff and per-barrier episode records
 /// (aggregates keep accumulating past it; only the record lists are
@@ -391,7 +392,9 @@ pub struct CritCollector {
     nodes: Vec<NodeCrit>,
     locks: BTreeMap<u32, LockState>,
     barriers: BTreeMap<u32, BarrierState>,
-    structures: Vec<(String, Addr, Addr)>,
+    structures: StructureTable,
+    /// Label id per registered structure, interned on its first wait.
+    structure_labels: Vec<Option<u32>>,
     labels: Vec<String>,
     label_ids: HashMap<String, u32>,
     last_halt: Option<(Cycle, NodeId)>,
@@ -404,7 +407,8 @@ impl CritCollector {
             nodes: (0..num_nodes).map(|_| NodeCrit::new()).collect(),
             locks: BTreeMap::new(),
             barriers: BTreeMap::new(),
-            structures: Vec::new(),
+            structures: StructureTable::default(),
+            structure_labels: Vec::new(),
             labels: Vec::new(),
             label_ids: HashMap::new(),
             last_halt: None,
@@ -414,7 +418,8 @@ impl CritCollector {
     /// Mirrors `Classifier::register_structure` so chain segments can carry
     /// structure labels. Ranges are half-open; later registrations win.
     pub fn register_structure(&mut self, name: &str, lo: Addr, hi: Addr) {
-        self.structures.push((name.to_string(), lo, hi));
+        self.structures.push(name, lo, hi);
+        self.structure_labels.push(None);
     }
 
     fn intern(&mut self, name: &str) -> u32 {
@@ -428,13 +433,14 @@ impl CritCollector {
     }
 
     fn label_of_addr(&mut self, addr: Addr) -> Option<u32> {
-        let name = self
-            .structures
-            .iter()
-            .rev()
-            .find(|(_, lo, hi)| (*lo..*hi).contains(&addr))
-            .map(|(name, _, _)| name.clone())?;
-        Some(self.intern(&name))
+        let s = self.structures.lookup(addr)?;
+        if let Some(id) = self.structure_labels[s] {
+            return Some(id);
+        }
+        let name = self.structures.names()[s].clone();
+        let id = self.intern(&name);
+        self.structure_labels[s] = Some(id);
+        Some(id)
     }
 
     /// The node's cumulative account advanced (without mutation) to `at`.

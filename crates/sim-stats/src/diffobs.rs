@@ -1285,7 +1285,7 @@ mod tests {
 
     fn tiny_report(stall: u64) -> ObsReport {
         let mut c = ObsCollector::new(2, ObsConfig::enabled());
-        c.count_msg("ReadShared", 30);
+        c.count_msg(0, "ReadShared", 30);
         c.transition(0, CpuClass::ReadStall, 10);
         c.transition(0, CpuClass::Busy, 10 + stall);
         c.transition(0, CpuClass::Halted, 90);

@@ -47,6 +47,7 @@ pub mod obs;
 pub mod parobs;
 pub mod report;
 pub mod sampler;
+mod structures;
 
 pub use chrome::{ChromeTrace, FlowPairer};
 pub use classify::{Classifier, HomeUpdates, LossCause};

@@ -23,7 +23,7 @@ use sim_net::{Journey, MeshShape};
 use crate::classify::HomeUpdates;
 use crate::hist::LatencyHist;
 use crate::json::Json;
-use crate::obs::ObsReport;
+use crate::obs::{KindSlots, ObsReport};
 use crate::report::UpdateStats;
 
 /// Cap on retained per-journey records (for Chrome flow arrows); overflow
@@ -168,8 +168,10 @@ struct HomeService {
 #[derive(Debug, Clone)]
 pub struct NetObsCollector {
     shape: MeshShape,
-    by_class: BTreeMap<&'static str, JourneyTotals>,
-    by_structure: BTreeMap<String, JourneyTotals>,
+    by_class: KindSlots<JourneyTotals>,
+    /// Slot 0 is unattributed traffic, slot `i + 1` registered structure
+    /// `i`; [`NetObsCollector::finish`] merges the slots by name.
+    by_structure: Vec<JourneyTotals>,
     records: Vec<JourneyRec>,
     records_dropped: u64,
     local_messages: u64,
@@ -183,8 +185,8 @@ impl NetObsCollector {
     /// A collector for a machine on the given mesh.
     pub fn new(shape: MeshShape) -> Self {
         NetObsCollector {
-            by_class: BTreeMap::new(),
-            by_structure: BTreeMap::new(),
+            by_class: KindSlots::new(),
+            by_structure: Vec::new(),
             records: Vec::new(),
             records_dropped: 0,
             local_messages: 0,
@@ -197,23 +199,27 @@ impl NetObsCollector {
     }
 
     /// Folds in one remote message's journey, tagged with its protocol
-    /// message `class`, the `home` node of the address it concerns, and the
-    /// registered `structure` covering that address (if any). The flits are
-    /// credited to `home`'s profile regardless of which rx port they landed
-    /// on — this is the "whose traffic is it" view the paper's hot-spot
-    /// argument needs (a hot home's update storm occupies *other* nodes'
-    /// rx ports).
-    pub fn record(&mut self, class: &'static str, structure: Option<&str>, home: NodeId, j: &Journey) {
+    /// message kind (ordinal `kind`, named `class`), the `home` node of the
+    /// address it concerns, and the index of the registered `structure`
+    /// covering that address (if any). The flits are credited to `home`'s
+    /// profile regardless of which rx port they landed on — this is the
+    /// "whose traffic is it" view the paper's hot-spot argument needs (a
+    /// hot home's update storm occupies *other* nodes' rx ports).
+    pub fn record(
+        &mut self,
+        kind: usize,
+        class: &'static str,
+        structure: Option<usize>,
+        home: NodeId,
+        j: &Journey,
+    ) {
         self.homes[home].homed_rx_flits += j.flits;
-        self.by_class.entry(class).or_default().add(j);
-        let key = structure.unwrap_or(UNATTRIBUTED);
-        if let Some(t) = self.by_structure.get_mut(key) {
-            t.add(j);
-        } else {
-            let mut t = JourneyTotals::default();
-            t.add(j);
-            self.by_structure.insert(key.to_string(), t);
+        self.by_class.slot(kind, class).add(j);
+        let slot = structure.map_or(0, |i| i + 1);
+        if slot >= self.by_structure.len() {
+            self.by_structure.resize_with(slot + 1, JourneyTotals::default);
         }
+        self.by_structure[slot].add(j);
         if self.records.len() < JOURNEY_RECORD_CAP {
             self.records.push(JourneyRec {
                 class,
@@ -260,15 +266,23 @@ impl NetObsCollector {
     /// Builds the report: journeys aggregated so far, final physical-link
     /// totals, and per-home profiles joining this collector's service
     /// accounting with the port gauges and the classifier's per-home update
-    /// accounting.
+    /// accounting. `structure_names` resolves the structure indices passed
+    /// to [`NetObsCollector::record`]; structures sharing a name share a
+    /// row.
     pub fn finish(
         self,
         wall: Cycle,
         phys_flits: Vec<(NodeId, NodeId, u64)>,
         gauges: &[crate::obs::NodeGauges],
         home_updates: Option<HomeUpdates>,
+        structure_names: &[String],
     ) -> NetObsReport {
         assert_eq!(gauges.len(), self.homes.len());
+        let mut by_structure: BTreeMap<String, JourneyTotals> = BTreeMap::new();
+        for (slot, t) in self.by_structure.iter().enumerate().filter(|(_, t)| t.count > 0) {
+            let name = if slot == 0 { UNATTRIBUTED } else { structure_names[slot - 1].as_str() };
+            by_structure.entry(name.to_string()).or_default().merge(t);
+        }
         let homes = self
             .homes
             .iter()
@@ -291,8 +305,8 @@ impl NetObsCollector {
             cols: self.shape.cols,
             rows: self.shape.rows,
             wall_cycles: wall,
-            by_class: self.by_class,
-            by_structure: self.by_structure,
+            by_class: self.by_class.into_map(),
+            by_structure,
             phys_links: phys_flits
                 .into_iter()
                 .map(|(src, dst, flits)| PhysLinkFlits { src, dst, flits })
@@ -693,15 +707,17 @@ mod tests {
     #[test]
     fn collector_aggregates_by_class_and_structure() {
         let mut c = NetObsCollector::new(MeshShape::for_nodes(4));
-        c.record("Update", Some("counter"), 3, &journey(0, 1, 6, 1, 0));
-        c.record("Update", None, 0, &journey(1, 2, 6, 1, 10));
-        c.record("ReadShared", Some("counter"), 3, &journey(2, 3, 4, 1, 20));
+        c.record(14, "Update", Some(0), 3, &journey(0, 1, 6, 1, 0));
+        c.record(14, "Update", None, 0, &journey(1, 2, 6, 1, 10));
+        c.record(0, "ReadShared", Some(2), 3, &journey(2, 3, 4, 1, 20));
         c.record_local("Data", 1);
-        let r = c.finish(100, vec![(0, 1, 6), (1, 2, 6), (2, 3, 4)], &[Default::default(); 4], None);
+        let names = ["counter", "flag", "counter"].map(String::from);
+        let r = c.finish(100, vec![(0, 1, 6), (1, 2, 6), (2, 3, 4)], &[Default::default(); 4], None, &names);
         assert_eq!(r.by_class["Update"].count, 2);
         assert_eq!(r.by_class["ReadShared"].count, 1);
-        assert_eq!(r.by_structure["counter"].count, 2);
+        assert_eq!(r.by_structure["counter"].count, 2, "structures sharing a name share a row");
         assert_eq!(r.by_structure[UNATTRIBUTED].count, 1);
+        assert!(!r.by_structure.contains_key("flag"), "only structures with traffic get a row");
         assert_eq!(r.local_messages, 1);
         assert_eq!(r.local_cycles, 1);
         assert_eq!(r.records.len(), 3);
@@ -718,7 +734,7 @@ mod tests {
     #[test]
     fn worst_links_sort_desc_with_stable_ties() {
         let c = NetObsCollector::new(MeshShape::for_nodes(4));
-        let r = c.finish(10, vec![(0, 1, 5), (1, 0, 9), (2, 3, 5)], &[Default::default(); 4], None);
+        let r = c.finish(10, vec![(0, 1, 5), (1, 0, 9), (2, 3, 5)], &[Default::default(); 4], None, &[]);
         let worst = r.worst_links(2);
         assert_eq!(worst[0], PhysLinkFlits { src: 1, dst: 0, flits: 9 });
         assert_eq!(worst[1], PhysLinkFlits { src: 0, dst: 1, flits: 5 });
@@ -733,7 +749,7 @@ mod tests {
             shape.links().into_iter().map(|(a, b)| (a, b, if a == 0 { 90 } else { 1 })).collect();
         let mut gauges = [crate::obs::NodeGauges::default(); 4];
         gauges[0].rx_busy = 50;
-        let r = c.finish(100, phys, &gauges, None);
+        let r = c.finish(100, phys, &gauges, None, &[]);
         let map = r.heatmap();
         for n in 0..4 {
             assert!(map.contains(&format!("n{n:02}")), "node {n} missing from heatmap:\n{map}");
@@ -746,9 +762,9 @@ mod tests {
     fn record_cap_counts_overflow() {
         let mut c = NetObsCollector::new(MeshShape::for_nodes(2));
         for i in 0..(JOURNEY_RECORD_CAP as u64 + 10) {
-            c.record("Update", None, 0, &journey(0, 1, 4, 1, i));
+            c.record(14, "Update", None, 0, &journey(0, 1, 4, 1, i));
         }
-        let r = c.finish(1 << 20, vec![], &[Default::default(); 2], None);
+        let r = c.finish(1 << 20, vec![], &[Default::default(); 2], None, &[]);
         assert_eq!(r.records.len(), JOURNEY_RECORD_CAP);
         assert_eq!(r.records_dropped, 10);
         assert_eq!(r.by_class["Update"].count, JOURNEY_RECORD_CAP as u64 + 10, "aggregates keep counting");
@@ -757,9 +773,10 @@ mod tests {
     #[test]
     fn report_json_parses_and_omits_raw_records() {
         let mut c = NetObsCollector::new(MeshShape::for_nodes(2));
-        c.record("Update", Some("counter"), 0, &journey(0, 1, 6, 1, 0));
+        c.record(14, "Update", Some(0), 0, &journey(0, 1, 6, 1, 0));
         c.sample_links(500, &[6, 0]);
-        let r = c.finish(1000, vec![(0, 1, 6), (1, 0, 0)], &[Default::default(); 2], None);
+        let names = ["counter".to_string()];
+        let r = c.finish(1000, vec![(0, 1, 6), (1, 0, 0)], &[Default::default(); 2], None, &names);
         let parsed = Json::parse(&r.to_json().render_pretty()).expect("netobs JSON parses");
         assert_eq!(
             parsed.get("journeys").unwrap().get("Update").unwrap().get("count").and_then(Json::as_u64),

@@ -219,13 +219,42 @@ impl NodeAcct {
     }
 }
 
+/// Per-message-kind values in a dense table indexed by the kind's ordinal
+/// (`MsgKind::ordinal` in `sim-proto`). Each slot remembers its kind's
+/// name, so [`KindSlots::into_map`] keys the finished report by name.
+#[derive(Debug, Clone)]
+pub(crate) struct KindSlots<T> {
+    slots: Vec<Option<(&'static str, T)>>,
+}
+
+impl<T: Default> KindSlots<T> {
+    pub(crate) fn new() -> Self {
+        KindSlots { slots: Vec::new() }
+    }
+
+    /// The value of kind `ordinal`, named `name`, created on first use.
+    pub(crate) fn slot(&mut self, ordinal: usize, name: &'static str) -> &mut T {
+        if ordinal >= self.slots.len() {
+            self.slots.resize_with(ordinal + 1, || None);
+        }
+        let (slot_name, value) = self.slots[ordinal].get_or_insert_with(|| (name, T::default()));
+        debug_assert_eq!(*slot_name, name, "one name per kind ordinal");
+        value
+    }
+
+    /// The used slots keyed by kind name.
+    pub(crate) fn into_map(self) -> BTreeMap<&'static str, T> {
+        self.slots.into_iter().flatten().collect()
+    }
+}
+
 /// The live recorder the machine drives during a run. Turned into an
 /// [`ObsReport`] by [`ObsCollector::finish`].
 #[derive(Debug, Clone)]
 pub struct ObsCollector {
     cfg: ObsConfig,
     nodes: Vec<NodeAcct>,
-    msg_counts: BTreeMap<&'static str, u64>,
+    msg_counts: KindSlots<u64>,
     msg_latency: LatencyHist,
     samples: TimeSeries,
 }
@@ -235,7 +264,7 @@ impl ObsCollector {
     pub fn new(num_nodes: usize, cfg: ObsConfig) -> Self {
         ObsCollector {
             nodes: (0..num_nodes).map(|_| NodeAcct::new()).collect(),
-            msg_counts: BTreeMap::new(),
+            msg_counts: KindSlots::new(),
             msg_latency: LatencyHist::new(),
             samples: TimeSeries::new(cfg.sample_interval),
             cfg,
@@ -282,9 +311,10 @@ impl ObsCollector {
         node.phase = phase;
     }
 
-    /// Counts one protocol message of `kind` with the given network latency.
-    pub fn count_msg(&mut self, kind: &'static str, latency: Cycle) {
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
+    /// Counts one protocol message of kind ordinal `kind`, named `name`,
+    /// with the given network latency.
+    pub fn count_msg(&mut self, kind: usize, name: &'static str, latency: Cycle) {
+        *self.msg_counts.slot(kind, name) += 1;
         self.msg_latency.record(latency);
     }
 
@@ -334,7 +364,7 @@ impl ObsCollector {
             per_node,
             phase_totals,
             phase_names: BTreeMap::new(),
-            msg_counts: self.msg_counts,
+            msg_counts: self.msg_counts.into_map(),
             msg_latency: self.msg_latency,
             endpoint_pair_flits,
             samples: self.samples,
@@ -606,9 +636,9 @@ mod tests {
     #[test]
     fn report_json_round_trips() {
         let mut c = ObsCollector::new(2, ObsConfig::enabled());
-        c.count_msg("ReadShared", 30);
-        c.count_msg("Data", 42);
-        c.count_msg("ReadShared", 31);
+        c.count_msg(0, "ReadShared", 30);
+        c.count_msg(9, "Data", 42);
+        c.count_msg(0, "ReadShared", 31);
         c.transition(0, CpuClass::Halted, 5);
         c.transition(1, CpuClass::Halted, 7);
         let mut r = c.finish(
