@@ -4,7 +4,9 @@
 //! network telemetry, and message tracing.
 
 use kernels::runner::KernelSpec;
-use kernels::workloads::{BarrierKind, LockKind, ReductionKind};
+use kernels::workloads::{
+    BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
+};
 use sim_machine::{Machine, MachineConfig, RunResult, Trace, TraceEvent};
 use sim_proto::Protocol;
 use sim_stats::Json;
@@ -169,6 +171,31 @@ pub const KERNEL_NAMES: [&str; 11] = [
     "par-reduction",
     "seq-reduction",
 ];
+
+/// The cells the golden pins share (`tests/observed_reports.rs` and the
+/// fingerprint-chain pin in `tests/hostobs.rs`): one lock, one barrier
+/// and one reduction, with explicit counts (no `PPC_SCALE` scaling).
+pub fn pinned_kernels() -> [(&'static str, KernelSpec); 3] {
+    [
+        (
+            "mcs-lock",
+            KernelSpec::Lock(LockWorkload {
+                kind: LockKind::Mcs,
+                total_acquires: 64,
+                cs_cycles: 50,
+                post_release: PostRelease::None,
+            }),
+        ),
+        (
+            "central-barrier",
+            KernelSpec::Barrier(BarrierWorkload { kind: BarrierKind::Centralized, episodes: 12 }),
+        ),
+        (
+            "par-reduction",
+            KernelSpec::Reduction(ReductionWorkload { kind: ReductionKind::Parallel, episodes: 12, skew: 0 }),
+        ),
+    ]
+}
 
 /// Installs, runs, and verifies `kernel` on an already-configured machine.
 pub fn run_kernel(m: &mut Machine, kernel: &KernelSpec) -> RunResult {

@@ -12,16 +12,23 @@
 //!   replay it byte-identically, and genuinely different runs must
 //!   produce chains that diff to a concrete first divergence.
 //!
+//! A third pins the serial fingerprint chains themselves: the golden file
+//! `tests/golden/fingerprint_chains.txt` holds each pinned cell's event
+//! count and chain digest, so any change to the simulated event stream
+//! shows up here even when no figure moves.
+//!
 //! Workloads are deliberately small so the whole file runs in a
 //! debug-mode tier-1 pass; neither promise depends on scale.
 
 use kernels::runner::{ExperimentSpec, KernelSpec};
 use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease};
-use ppc_bench::observed::run_kernel;
+use ppc_bench::observed::{pinned_kernels, protocol_name, run_kernel};
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
 use sim_machine::{Machine, MachineConfig};
 use sim_proto::Protocol;
 use sim_stats::FingerprintChain;
+
+const CHAIN_GOLDEN: &str = include_str!("golden/fingerprint_chains.txt");
 
 const PROTOCOLS: [Protocol; 3] =
     [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate];
@@ -165,4 +172,29 @@ fn different_runs_diff_to_a_concrete_divergence() {
     // Protocols diverge in the very first event epoch, and the reported
     // divergence must point there — not merely at the final state.
     assert_eq!(d, sim_stats::FingerprintDivergence::Epoch(0));
+}
+
+#[test]
+fn serial_fingerprint_chains_match_their_golden() {
+    const PROCS: usize = 8;
+    let mut actual = String::new();
+    for (name, kernel) in pinned_kernels() {
+        for protocol in PROTOCOLS {
+            let fp = run(MachineConfig::paper_hostobs(PROCS, protocol), &kernel)
+                .fingerprint
+                .expect("hostobs run carries a fingerprint");
+            actual.push_str(&format!(
+                "{name}/{} {} {}\n",
+                protocol_name(protocol),
+                fp.total_events,
+                fp.chain_digest_hex()
+            ));
+        }
+    }
+    let expected: String =
+        CHAIN_GOLDEN.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+    assert_eq!(
+        actual, expected,
+        "serial fingerprint chains drifted from tests/golden/fingerprint_chains.txt\nactual:\n{actual}"
+    );
 }

@@ -15,46 +15,19 @@
 
 use std::fmt::Write as _;
 
-use kernels::runner::KernelSpec;
-use kernels::workloads::{
-    BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
-};
-use ppc_bench::observed::{protocol_name, report_document, report_run_json, run_observed};
+use ppc_bench::observed::{pinned_kernels, protocol_name, report_document, report_run_json, run_observed};
 use ppc_bench::PROTOCOLS;
 use sim_engine::StableHasher;
 
 const GOLDEN: &str = include_str!("golden/observed_reports.txt");
 const PROCS: usize = 8;
 
-/// The pinned kernels, with explicit counts (no environment scaling).
-fn kernels() -> [(&'static str, KernelSpec); 3] {
-    [
-        (
-            "mcs-lock",
-            KernelSpec::Lock(LockWorkload {
-                kind: LockKind::Mcs,
-                total_acquires: 64,
-                cs_cycles: 50,
-                post_release: PostRelease::None,
-            }),
-        ),
-        (
-            "central-barrier",
-            KernelSpec::Barrier(BarrierWorkload { kind: BarrierKind::Centralized, episodes: 12 }),
-        ),
-        (
-            "par-reduction",
-            KernelSpec::Reduction(ReductionWorkload { kind: ReductionKind::Parallel, episodes: 12, skew: 0 }),
-        ),
-    ]
-}
-
 #[test]
 fn observed_reports_match_their_golden_digests() {
     let out_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("observed_reports");
     let mut actual = String::new();
     let mut rendered = Vec::new();
-    for (name, kernel) in kernels() {
+    for (name, kernel) in pinned_kernels() {
         for protocol in PROTOCOLS {
             let label = protocol_name(protocol);
             let (r, _events) = run_observed(PROCS, protocol, &kernel);
