@@ -17,12 +17,13 @@
 //! heap push of a 24-byte key and a later merge; the payload never moves.
 //!
 //! The observable order is identical to a totally ordered heap: events pop
-//! in `(cycle, seq)` order, where `seq` is the insertion number (or the
-//! caller's number, see [`EventQueue::schedule_with_seq`]). Every bucket
-//! list is kept sorted by `seq`. Far events merge back in `(cycle, seq)`
-//! order at the moment their cycle enters the window, before anything can
-//! be scheduled directly into that cycle, so the common insertion is a
-//! plain tail append and only an out-of-order `seq` walks the list.
+//! in `(cycle, seq)` order, where `seq` is the insertion number. Every
+//! bucket list is kept sorted by `seq` without ever walking it: direct
+//! schedules carry the newest `seq`, far events merge back in
+//! `(cycle, seq)` order at the moment their cycle enters the window
+//! (before anything can be scheduled directly into that cycle), and
+//! [`EventQueue::restore`] relinks a snapshot in pop order, so every
+//! insertion is a tail append.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -182,39 +183,23 @@ impl<E> EventQueue<E> {
         node.payload.take().expect("released a free slab node")
     }
 
-    /// Links node `idx` into the bucket of cycle `at` (inside the window),
-    /// keeping the list sorted by `seq`: a tail append unless `idx` carries
-    /// a smaller `seq` than the current tail.
+    /// Appends node `idx` to the bucket of cycle `at` (inside the window).
+    /// Callers link in `(cycle, seq)` order, so the list stays sorted.
     fn link(&mut self, at: Cycle, idx: u32) {
         let slot = (at & WHEEL_MASK) as usize;
-        let Bucket { head, tail } = self.buckets[slot];
+        let tail = self.buckets[slot].tail;
         self.wheel_len += 1;
         if tail == NIL {
             self.buckets[slot] = Bucket { head: idx, tail: idx };
             self.occupied[slot / 64] |= 1 << (slot % 64);
             return;
         }
-        let seq = self.slab[idx as usize].seq;
-        if self.slab[tail as usize].seq <= seq {
-            self.slab[tail as usize].next = idx;
-            self.buckets[slot].tail = idx;
-        } else if seq < self.slab[head as usize].seq {
-            self.slab[idx as usize].next = head;
-            self.buckets[slot].head = idx;
-        } else {
-            // Strictly inside the list (head <= seq < tail): link in
-            // before the first node with a larger seq.
-            let mut prev = head;
-            loop {
-                let next = self.slab[prev as usize].next;
-                if self.slab[next as usize].seq > seq {
-                    self.slab[idx as usize].next = next;
-                    self.slab[prev as usize].next = idx;
-                    break;
-                }
-                prev = next;
-            }
-        }
+        debug_assert!(
+            self.slab[tail as usize].seq <= self.slab[idx as usize].seq,
+            "bucket link out of seq order"
+        );
+        self.slab[tail as usize].next = idx;
+        self.buckets[slot].tail = idx;
     }
 
     /// Schedules `payload` to fire at absolute cycle `at`.
@@ -226,39 +211,9 @@ impl<E> EventQueue<E> {
     /// in the wheel slot of a later cycle and fire a whole wheel turn
     /// (1024 cycles) late.
     pub fn schedule(&mut self, at: Cycle, payload: E) {
+        assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(at, seq, payload);
-    }
-
-    /// Schedules `payload` to fire `delay` cycles from the current cycle.
-    pub fn schedule_in(&mut self, delay: Cycle, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
-    /// Schedules `payload` at `at` with a caller-supplied tie-breaking
-    /// sequence number instead of the queue's own counter.
-    ///
-    /// This is the insertion primitive of the sharded PDES core: one global
-    /// counter spans all shard queues so the merged pop order reproduces the
-    /// single-queue `(cycle, seq)` order exactly. The target bucket may
-    /// already hold events with *larger* sequence numbers (an epoch-barrier
-    /// handoff drains a message whose seq predates direct schedules into the
-    /// same cycle); the event is then linked in at its `seq` position.
-    ///
-    /// The queue's own counter is not advanced, so only the caller can keep
-    /// seqs unique. Mixing with [`EventQueue::schedule`] is well defined
-    /// as long as the caller's seqs never collide with the counter's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` lies in the past, like [`EventQueue::schedule`].
-    pub fn schedule_with_seq(&mut self, at: Cycle, seq: u64, payload: E) {
-        self.insert(at, seq, payload);
-    }
-
-    fn insert(&mut self, at: Cycle, seq: u64, payload: E) {
-        assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
         self.stats.scheduled += 1;
         let idx = self.alloc(seq, payload);
         if at < self.horizon {
@@ -270,18 +225,9 @@ impl<E> EventQueue<E> {
         self.stats.peak_len = self.stats.peak_len.max(self.len() as u64);
     }
 
-    /// The `(cycle, seq)` key of the next pending event, if any — the key
-    /// [`EventQueue::pop`] would return next. Used by the sharded core to
-    /// merge several shard queues into one global `(cycle, seq)` order.
-    pub fn peek_key(&self) -> Option<(Cycle, u64)> {
-        if self.wheel_len > 0 {
-            // All wheel events precede all far events.
-            let at = self.next_occupied(self.now).expect("wheel_len > 0 but no occupied slot");
-            let head = self.buckets[(at & WHEEL_MASK) as usize].head;
-            Some((at, self.slab[head as usize].seq))
-        } else {
-            self.far.peek().map(|&Reverse((at, seq, _))| (at, seq))
-        }
+    /// Schedules `payload` to fire `delay` cycles from the current cycle.
+    pub fn schedule_in(&mut self, delay: Cycle, payload: E) {
+        self.schedule(self.now + delay, payload);
     }
 
     /// Advances the wheel window so that it starts at `at`, linking
@@ -509,12 +455,7 @@ pub mod legacy {
 
     impl<E> HeapQueue<E> {
         pub fn new() -> Self {
-            Self::with_next_seq(0)
-        }
-
-        /// An empty queue whose counter starts at `next_seq`.
-        pub fn with_next_seq(next_seq: u64) -> Self {
-            HeapQueue { heap: BinaryHeap::new(), next_seq, now: 0 }
+            HeapQueue { heap: BinaryHeap::new(), next_seq: 0, now: 0 }
         }
 
         pub fn now(&self) -> Cycle {
@@ -525,11 +466,6 @@ pub mod legacy {
             debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Entry { at, seq, payload });
-        }
-
-        /// Schedules with a caller-supplied seq; the counter is untouched.
-        pub fn schedule_with_seq(&mut self, at: Cycle, seq: u64, payload: E) {
             self.heap.push(Entry { at, seq, payload });
         }
 
@@ -602,15 +538,6 @@ mod tests {
         q.schedule(10, ());
         q.pop();
         q.schedule(9, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn rejects_past_events_with_explicit_seq() {
-        let mut q = EventQueue::new();
-        q.schedule(10, ());
-        q.pop();
-        q.schedule_with_seq(9, 7, ());
     }
 
     #[test]
@@ -821,87 +748,6 @@ mod tests {
         assert!(q.stats().far_merged > 0);
     }
 
-    #[test]
-    fn peek_key_tracks_the_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_key(), None);
-        q.schedule(10, "b"); // seq 0
-        q.schedule(5, "a"); // seq 1
-        assert_eq!(q.peek_key(), Some((5, 1)));
-        assert_eq!(q.pop(), Some((5, "a")));
-        assert_eq!(q.peek_key(), Some((10, 0)));
-        q.schedule(10, "c"); // seq 2, behind "b" in the same bucket
-        assert_eq!(q.peek_key(), Some((10, 0)));
-        q.pop();
-        assert_eq!(q.peek_key(), Some((10, 2)));
-        q.pop();
-        assert_eq!(q.peek_key(), None);
-        // Far-heap-only queues peek into the heap.
-        q.schedule(q.now() + 3 * WHEEL, "far");
-        assert_eq!(q.peek_key(), Some((q.now() + 3 * WHEEL, 3)));
-    }
-
-    #[test]
-    fn schedule_with_seq_orders_a_drained_handoff_before_later_direct_schedules() {
-        // The barrier-drain shape: a cross-shard message carries seq 1 but
-        // reaches the destination queue only after direct schedules with
-        // larger seqs already landed in its bucket.
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_with_seq(100, 7, "direct-mid");
-        q.schedule_with_seq(100, 9, "direct-late");
-        q.schedule_with_seq(50, 3, "earlier-cycle");
-        q.schedule_with_seq(100, 1, "handoff-early"); // ordered insert from the back
-        q.schedule_with_seq(100, 8, "direct-between");
-        assert_eq!(q.peek_key(), Some((50, 3)));
-        assert_eq!(q.pop(), Some((50, "earlier-cycle")));
-        assert_eq!(q.pop(), Some((100, "handoff-early")));
-        assert_eq!(q.pop(), Some((100, "direct-mid")));
-        assert_eq!(q.pop(), Some((100, "direct-between")));
-        assert_eq!(q.pop(), Some((100, "direct-late")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn schedule_with_seq_far_spills_keep_the_given_seq() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_with_seq(2 * WHEEL, 5, 50);
-        q.schedule_with_seq(2 * WHEEL, 2, 20); // smaller seq pushed later
-        q.schedule_with_seq(1, 0, 0);
-        assert_eq!(q.stats().far_spills, 2);
-        assert_eq!(q.pop(), Some((1, 0)));
-        // The merge back into the wheel follows (cycle, seq) heap order.
-        assert_eq!(q.pop(), Some((2 * WHEEL, 20)));
-        assert_eq!(q.pop(), Some((2 * WHEEL, 50)));
-        assert_eq!(q.stats().far_merged, 2);
-    }
-
-    #[test]
-    fn schedule_with_seq_matches_schedule_for_monotone_seqs() {
-        // Driving one queue through schedule() and another through
-        // schedule_with_seq() with the same monotone seq stream must
-        // produce identical pops — the sharded core's shards=1 case.
-        let mut rng = crate::SplitMix64::new(0x5eed_5eed);
-        let mut a: EventQueue<u64> = EventQueue::new();
-        let mut b: EventQueue<u64> = EventQueue::new();
-        for i in 0..2000u64 {
-            let at = a.now() + rng.next_below(2 * WHEEL);
-            a.schedule(at, i);
-            // The monotone seq stream is exactly the iteration index.
-            b.schedule_with_seq(at, i, i);
-            if rng.next_below(2) == 0 {
-                assert_eq!(a.peek_key(), b.peek_key());
-                assert_eq!(a.pop(), b.pop());
-            }
-        }
-        loop {
-            let x = a.pop();
-            assert_eq!(x, b.pop());
-            if x.is_none() {
-                break;
-            }
-        }
-    }
-
     mod snapshotting {
         use super::*;
         use crate::SplitMix64;
@@ -1036,47 +882,17 @@ mod tests {
             far_turns: u64,
             /// Snapshot and restore the queue under test mid-stream.
             snapshots: bool,
-            /// Let some schedules carry caller-supplied seqs.
-            explicit_seqs: bool,
         }
 
-        const BASE: Mix = Mix { far_pct: 10, far_turns: 10, snapshots: false, explicit_seqs: false };
-
-        /// Where both queues' counters start when a case mixes in explicit
-        /// seqs: caller seqs come from below it or from far above the
-        /// counter's reach, so they never collide with counter seqs yet
-        /// land both before and after them in same-cycle order.
-        const COUNTER_BASE: u64 = 1 << 32;
-
-        /// The `k`-th caller-supplied seq: a bijective scramble of `k`, low
-        /// or high of the counter range, so same-cycle explicit events
-        /// arrive in no particular seq order.
-        fn explicit_seq(k: u64, high: bool) -> u64 {
-            let scrambled = k.wrapping_mul(0x9e37_79b9) & 0xffff_ffff;
-            if high {
-                (1 << 40) + scrambled
-            } else {
-                scrambled
-            }
-        }
+        const BASE: Mix = Mix { far_pct: 10, far_turns: 10, snapshots: false };
 
         /// Drives both queues through an identical random op sequence and
         /// asserts every observable matches at every step.
         fn run_case(seed: u64, ops: usize, mix: Mix) {
             let mut rng = SplitMix64::new(seed);
-            let (mut new_q, mut old_q): (EventQueue<u64>, HeapQueue<u64>) = if mix.explicit_seqs {
-                let empty = QueueSnapshot {
-                    now: 0,
-                    next_seq: COUNTER_BASE,
-                    stats: QueueStats::default(),
-                    entries: Vec::new(),
-                };
-                (EventQueue::restore(empty), HeapQueue::with_next_seq(COUNTER_BASE))
-            } else {
-                (EventQueue::new(), HeapQueue::new())
-            };
+            let mut new_q: EventQueue<u64> = EventQueue::new();
+            let mut old_q: HeapQueue<u64> = HeapQueue::new();
             let mut payload = 0u64;
-            let mut explicit = 0u64;
             for step in 0..ops {
                 let ctx = || format!("seed {seed} step {step}");
                 match rng.next_below(10) {
@@ -1097,15 +913,8 @@ mod tests {
                         };
                         payload += 1;
                         let at = new_q.now() + delta;
-                        if mix.explicit_seqs && rng.next_below(3) == 0 {
-                            explicit += 1;
-                            let seq = explicit_seq(explicit, rng.next_below(2) == 0);
-                            new_q.schedule_with_seq(at, seq, payload);
-                            old_q.schedule_with_seq(at, seq, payload);
-                        } else {
-                            new_q.schedule(at, payload);
-                            old_q.schedule(at, payload);
-                        }
+                        new_q.schedule(at, payload);
+                        old_q.schedule(at, payload);
                     }
                     3 => {
                         let delay = match rng.next_below(4) {
@@ -1191,21 +1000,10 @@ mod tests {
         /// copy at random points; the oracle never is.
         #[test]
         fn mid_stream_snapshot_restore_matches_legacy_heap() {
-            let mix = Mix { snapshots: true, far_pct: 25, far_turns: 4, ..BASE };
+            let mix = Mix { snapshots: true, far_pct: 25, far_turns: 4 };
             for seed in 0..100 {
                 run_case(0x5a00 + seed, 600, mix);
             }
-        }
-
-        /// Counter-assigned and caller-supplied seqs share buckets and the
-        /// far heap; caller seqs land before and after counter seqs.
-        #[test]
-        fn explicit_seq_mixes_match_legacy_heap() {
-            let mix = Mix { explicit_seqs: true, snapshots: true, far_pct: 25, far_turns: 4 };
-            for seed in 0..100 {
-                run_case(0xe500 + seed, 600, mix);
-            }
-            run_case(0xe5_beef, 20_000, mix);
         }
 
         #[test]

@@ -44,8 +44,8 @@ fn every_committed_bench_file_is_on_the_unified_schema() {
         found.push(record.bench);
     }
     found.sort();
-    // The four migrated legacy benches plus the CI gate baseline.
-    for expected in ["gate", "harness", "obs", "pdes", "sweep"] {
+    // The three migrated legacy benches plus the CI gate baseline.
+    for expected in ["gate", "harness", "obs", "sweep"] {
         assert!(found.iter().any(|b| b == expected), "no committed BENCH record for {expected:?}: {found:?}");
     }
 }
