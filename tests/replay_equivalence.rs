@@ -8,15 +8,24 @@
 //! network counters, instructions, latency histograms), pass the kernel's
 //! own correctness verifier, and extend the fingerprint chain with the
 //! identical epoch digests and final state digest.
+//!
+//! A last test pins the snapshot bytes themselves: the golden file
+//! `tests/golden/snapshot_digests.txt` holds the length and digest of every
+//! checkpoint blob of the pinned observed cells, so a change to how machine
+//! state is laid out or serialized shows up even when every round trip
+//! still succeeds.
 
 use kernels::runner::KernelSpec;
 use kernels::workloads::{
     BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
 };
 use kernels::{barriers, locks, reductions};
-use ppc_bench::observed::{protocol_name, KERNEL_NAMES};
+use ppc_bench::observed::{pinned_kernels, protocol_name, run_kernel, KERNEL_NAMES};
 use ppc_bench::PROTOCOLS;
+use sim_engine::StableHasher;
 use sim_machine::{Machine, MachineConfig, RunResult};
+
+const SNAPSHOT_GOLDEN: &str = include_str!("golden/snapshot_digests.txt");
 
 const PROCS: usize = 4;
 /// Small fingerprint epoch = checkpoint cadence, so even these short
@@ -164,4 +173,36 @@ fn windowed_replay_reproduces_the_original_run() {
     assert_eq!(w.window_result.cycles, c2, "window run stops at the requested end");
     let obs = w.window_result.obs.as_ref().expect("window ran observed");
     assert!(obs.per_node.iter().any(|n| n.cycles.total() > 0), "window obs report is empty");
+}
+
+#[test]
+fn snapshot_bytes_match_their_golden() {
+    const PROCS: usize = 8;
+    const EVERY: u64 = 512;
+    let mut actual = String::new();
+    for (name, kernel) in pinned_kernels() {
+        for protocol in PROTOCOLS {
+            let mut cfg = MachineConfig::paper(PROCS, protocol).with_checkpoints(EVERY);
+            cfg.hostobs.fingerprint_epoch = EVERY;
+            let mut m = Machine::new(cfg);
+            run_kernel(&mut m, &kernel);
+            for ck in m.take_checkpoints() {
+                let mut h = StableHasher::new();
+                h.write(&ck.blob);
+                actual.push_str(&format!(
+                    "{name}/{} {} {} {}\n",
+                    protocol_name(protocol),
+                    ck.events,
+                    ck.blob.len(),
+                    h.finish_hex()
+                ));
+            }
+        }
+    }
+    let expected: String =
+        SNAPSHOT_GOLDEN.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+    assert_eq!(
+        actual, expected,
+        "checkpoint blobs drifted from tests/golden/snapshot_digests.txt\nactual:\n{actual}"
+    );
 }
