@@ -287,8 +287,7 @@ impl Machine {
     /// Writes `val` directly into `addr`'s home memory (initialization).
     pub fn poke_word(&mut self, addr: Addr, val: Word) {
         let home = self.geom.home_of(addr);
-        let geom = self.geom;
-        self.nodes[home].mem.write_word(&geom, addr, val);
+        self.nodes[home].mem.write_word(addr, val);
     }
 
     /// Coherently reads the current value of `addr` (dirty copy in any
@@ -309,7 +308,7 @@ impl Machine {
                 }
             }
         }
-        self.nodes[home].mem.read_word(&geom, addr)
+        self.nodes[home].mem.read_word(addr)
     }
 
     /// Runs the machine until every processor halts; returns measurements.
@@ -1489,7 +1488,7 @@ impl Machine {
         } else {
             println!("dir[{block:?}]@{home}: absent");
         }
-        println!("mem word = {}", self.nodes[home].mem.read_word(&self.geom, addr));
+        println!("mem word = {}", self.nodes[home].mem.read_word(addr));
         for (i, n) in self.nodes.iter().enumerate() {
             if let Some(s) = n.cache.state_of(block) {
                 println!("cache[{i}]: {:?} val={:?}", s, n.cache.read_word(&self.geom, addr));
@@ -1552,12 +1551,12 @@ impl Machine {
             }
         }
         for (h, node) in self.nodes.iter().enumerate() {
-            for (block, entry) in node.dir.iter() {
+            for (block, entry) in node.dir.sorted_entries() {
                 assert_eq!(geom.home_of(block.0), h, "directory entry on wrong home");
                 assert!(!entry.busy, "block {block:?} still busy at home {h}");
                 assert!(entry.waiting.is_empty(), "block {block:?} has deferred requests");
                 if entry.state == sim_mem::DirState::Owned {
-                    let owner_state = self.nodes[entry.owner].cache.state_of(*block);
+                    let owner_state = self.nodes[entry.owner].cache.state_of(block);
                     assert!(
                         matches!(owner_state, Some(LineState::Modified) | Some(LineState::PrivateUpd)),
                         "block {block:?}: home {h} says node {} owns it, cache says {owner_state:?}",

@@ -299,9 +299,8 @@ impl Machine {
                 w.usize(data.len());
                 w.u32_slice(data);
             }
-            let entries = node.dir.sorted_entries();
-            w.usize(entries.len());
-            for (block, e) in &entries {
+            w.usize(node.dir.len());
+            for (block, e) in node.dir.sorted_entries() {
                 w.u32(block.0);
                 w.u8(dir_state_tag(e.state));
                 w.u64(e.sharers.to_bits());
@@ -312,9 +311,8 @@ impl Machine {
                     m.encode(&mut w);
                 }
             }
-            let blocks = node.mem.sorted_blocks();
-            w.usize(blocks.len());
-            for (block, data) in &blocks {
+            w.usize(node.mem.resident_blocks());
+            for (block, data) in node.mem.sorted_blocks() {
                 w.u32(block.0);
                 w.usize(data.len());
                 w.u32_slice(data);
@@ -484,7 +482,6 @@ impl Machine {
             cpu.rng = SplitMix64::from_state(r.u64()?);
         }
         // Protocol nodes.
-        let geom = self.geom;
         for node in &mut self.nodes {
             let n = r.usize()?;
             let mut lines = Vec::with_capacity(n.min(1 << 16));
@@ -530,7 +527,7 @@ impl Machine {
                 for _ in 0..len {
                     data.push(r.u32()?);
                 }
-                node.mem.write_block(&geom, block, &data);
+                node.mem.write_block(block, &data);
             }
             node.pending_read = if r.bool()? {
                 Some(sim_proto::node::PendingRead { addr: r.u32()?, piggyback: r.bool()? })

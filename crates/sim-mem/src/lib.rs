@@ -16,6 +16,7 @@ pub mod dir;
 pub mod dram;
 pub mod geometry;
 pub mod store;
+pub mod table;
 pub mod wbuf;
 
 pub use alloc::SharedAlloc;
@@ -24,4 +25,5 @@ pub use dir::{DirEntry, DirState, Directory, SharerSet};
 pub use dram::MemTiming;
 pub use geometry::{Addr, BlockAddr, Geometry, Word};
 pub use store::MemStore;
+pub use table::BlockTable;
 pub use wbuf::{PendingWrite, WriteBuffer};

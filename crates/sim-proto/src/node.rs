@@ -129,8 +129,8 @@ impl ProtoNode {
             geom,
             cache: Cache::new(cfg.cache),
             cfg,
-            dir: Directory::new(),
-            mem: MemStore::new(),
+            dir: Directory::new(&geom),
+            mem: MemStore::new(&geom),
             pending_read: None,
             pending_write: None,
             pending_atomic: None,
@@ -332,7 +332,7 @@ impl ProtoNode {
         debug_assert_eq!(self.home_of(msg.addr), self.id);
         let block = self.geom.block_of(msg.addr);
         let MsgKind::WriteBack { data } = &msg.kind else { unreachable!() };
-        self.mem.write_block(&self.geom, block, data);
+        self.mem.write_block(block, data);
         let e = self.dir.entry(block);
         if e.state == sim_mem::DirState::Owned && e.owner == msg.src {
             e.state = sim_mem::DirState::Uncached;
@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(n.dir.entry(block).state, DirState::Uncached);
         assert!(!n.dir.entry(block).busy);
         assert_eq!(fx.requeue_home.len(), 1);
-        assert_eq!(n.mem.read_word(&n.geom, addr), 9);
+        assert_eq!(n.mem.read_word(addr), 9);
     }
 
     #[test]

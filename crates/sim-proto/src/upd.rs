@@ -247,7 +247,7 @@ fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: 
             e.state = DirState::Shared;
             e.sharers.insert(r);
             clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "ReadShared", now);
-            let data = n.mem.read_block(&n.geom, block);
+            let data = n.mem.read_block(block);
             fx.sends.push(n.msg(r, msg.addr, MsgKind::Data { data }));
         }
         DirState::Owned if e.owner == r => n.wait_for_writeback(block, msg),
@@ -270,7 +270,7 @@ fn recall_private(n: &mut ProtoNode, block: sim_mem::BlockAddr, msg: Msg, fx: &m
 fn home_recall_reply(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
     let MsgKind::RecallReply { data, .. } = msg.kind else { unreachable!() };
-    n.mem.write_block(&n.geom, block, &data);
+    n.mem.write_block(block, &data);
     let e = n.dir.entry(block);
     let from = e.state;
     e.state = DirState::Shared;
@@ -302,12 +302,12 @@ fn home_update_write(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cyc
     let e = n.dir.entry(block);
     if e.state == DirState::Owned {
         debug_assert_eq!(e.owner, w, "foreign write-through to privately owned block");
-        n.mem.write_word(&n.geom, msg.addr, val);
+        n.mem.write_word(msg.addr, val);
         clf.word_written(w, msg.addr, now);
         fx.sends.push(n.msg(w, msg.addr, MsgKind::UpdateInfo { acks: 0, go_private: true }));
         return;
     }
-    n.mem.write_word(&n.geom, msg.addr, val);
+    n.mem.write_word(msg.addr, val);
     clf.word_written(w, msg.addr, now);
     let e = n.dir.entry(block);
     let mut others = e.sharers;
@@ -345,7 +345,7 @@ fn home_update_write_alloc(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, no
         DirState::Owned if e.owner == w => n.wait_for_writeback(block, msg),
         DirState::Owned => recall_private(n, block, msg, fx),
         DirState::Uncached | DirState::Shared => {
-            n.mem.write_word(&n.geom, msg.addr, val);
+            n.mem.write_word(msg.addr, val);
             clf.word_written(w, msg.addr, now);
             let e = n.dir.entry(block);
             let mut others = e.sharers;
@@ -355,7 +355,7 @@ fn home_update_write_alloc(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, no
             e.sharers.insert(w);
             clf.dir_transition(block, from.name(), DirState::Shared.name(), w, "UpdateWriteAlloc", now);
             let acks = others.len() as u32;
-            let data = n.mem.read_block(&n.geom, block);
+            let data = n.mem.read_block(block);
             fx.sends.push(n.msg(w, msg.addr, MsgKind::DataUpd { data, acks }));
             multicast_update(n, msg.addr, val, w, others, fx);
         }
@@ -377,10 +377,10 @@ fn home_atomic(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx
         recall_private(n, block, msg, fx);
         return;
     }
-    let old = n.mem.read_word(&n.geom, msg.addr);
+    let old = n.mem.read_word(msg.addr);
     let (new, wrote) = op.apply(old, operand, operand2);
     if wrote {
-        n.mem.write_word(&n.geom, msg.addr, new);
+        n.mem.write_word(msg.addr, new);
         clf.word_written(r, msg.addr, now);
     }
     let e = n.dir.entry(block);
@@ -392,7 +392,7 @@ fn home_atomic(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx
     e.sharers.insert(r);
     clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "AtomicReq", now);
     let acks = if wrote { others.len() as u32 } else { 0 };
-    let data = if was_sharer { None } else { Some(n.mem.read_block(&n.geom, block)) };
+    let data = if was_sharer { None } else { Some(n.mem.read_block(block)) };
     fx.sends.push(n.msg(r, msg.addr, MsgKind::AtomicReply { old, data, acks }));
     if wrote {
         multicast_update(n, msg.addr, new, r, others, fx);
@@ -468,7 +468,7 @@ mod tests {
                 fx,
             )
         });
-        assert_eq!(home.mem.read_word(&home.geom, a), 5, "memory updated");
+        assert_eq!(home.mem.read_word(a), 5, "memory updated");
         let infos: Vec<_> =
             fx.sends.iter().filter(|m| matches!(m.kind, MsgKind::UpdateInfo { .. })).collect();
         let upds: Vec<_> = fx.sends.iter().filter(|m| matches!(m.kind, MsgKind::UpdateMsg { .. })).collect();
@@ -654,7 +654,7 @@ mod tests {
         let (mut home, mut clf) = node(0, Protocol::PureUpdate);
         let a = addr_on(&home.geom, 0);
         let block = home.geom.block_of(a);
-        home.mem.write_word(&home.geom.clone(), a, 10);
+        home.mem.write_word(a, 10);
         {
             let e = home.dir.entry(block);
             e.state = DirState::Shared;
@@ -673,7 +673,7 @@ mod tests {
                 fx,
             )
         });
-        assert_eq!(home.mem.read_word(&home.geom, a), 13);
+        assert_eq!(home.mem.read_word(a), 13);
         let reply = fx.sends.iter().find(|m| m.dst == 1).unwrap();
         let MsgKind::AtomicReply { old, ref data, acks } = reply.kind else { panic!() };
         assert_eq!(old, 10);
@@ -688,7 +688,7 @@ mod tests {
         let (mut home, mut clf) = node(0, Protocol::PureUpdate);
         let a = addr_on(&home.geom, 0);
         let block = home.geom.block_of(a);
-        home.mem.write_word(&home.geom.clone(), a, 10);
+        home.mem.write_word(a, 10);
         home.dir.entry(block).state = DirState::Shared;
         home.dir.entry(block).sharers.insert(2);
         let fx = collect(|fx| {
@@ -704,7 +704,7 @@ mod tests {
                 fx,
             )
         });
-        assert_eq!(home.mem.read_word(&home.geom, a), 10, "swap must not happen");
+        assert_eq!(home.mem.read_word(a), 10, "swap must not happen");
         assert!(!fx.sends.iter().any(|m| matches!(m.kind, MsgKind::UpdateMsg { .. })));
         let MsgKind::AtomicReply { old, acks, .. } =
             fx.sends.iter().find(|m| m.dst == 1).unwrap().kind.clone()
@@ -778,7 +778,7 @@ mod tests {
         let fx3 = collect(|fx| {
             home.handle_msg(Msg { src: 3, dst: 0, addr: a, kind: fx2.sends[0].kind.clone() }, &mut clf, 2, fx)
         });
-        assert_eq!(home.mem.read_word(&home.geom, a), 42);
+        assert_eq!(home.mem.read_word(a), 42);
         assert!(!home.dir.get(block).unwrap().busy);
         assert_eq!(fx3.requeue_home.len(), 1);
         assert!(matches!(fx3.requeue_home[0].kind, MsgKind::ReadShared));

@@ -242,7 +242,7 @@ fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: 
             e.state = DirState::Shared;
             e.sharers.insert(r);
             clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "ReadShared", now);
-            let data = n.mem.read_block(&n.geom, block);
+            let data = n.mem.read_block(block);
             fx.sends.push(n.msg(r, msg.addr, MsgKind::Data { data }));
         }
         DirState::Owned if e.owner == r => {
@@ -283,7 +283,7 @@ fn home_getx(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: 
             e.owner = r;
             e.sharers = SharerSet::empty();
             clf.dir_transition(block, from.name(), DirState::Owned.name(), r, "GetX", now);
-            let data = n.mem.read_block(&n.geom, block);
+            let data = n.mem.read_block(block);
             let acks = others.len() as u32;
             fx.sends.push(n.msg(r, msg.addr, MsgKind::DataX { data, acks }));
             invalidate_sharers(n, msg.addr, r, others, fx);
@@ -327,7 +327,7 @@ fn home_upgrade(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, f
 fn home_sharing_wb(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
     let MsgKind::SharingWB { data, requester } = msg.kind else { unreachable!() };
-    n.mem.write_block(&n.geom, block, &data);
+    n.mem.write_block(block, &data);
     let e = n.dir.entry(block);
     debug_assert!(e.busy);
     let from = e.state;
@@ -397,7 +397,7 @@ mod tests {
     fn home_serves_uncached_read_from_memory() {
         let (mut home, mut clf) = node(2);
         let a = addr_on(&home.geom, 2);
-        home.mem.write_word(&home.geom.clone(), a, 77);
+        home.mem.write_word(a, 77);
         let fx = collect(|fx| {
             home.handle_msg(Msg { src: 1, dst: 2, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0, fx)
         });

@@ -4,15 +4,16 @@
 //! thread that runs `Machine::run`, and each test divides them by the
 //! events dispatched. Event-queue nodes and protocol-handler effects are
 //! recycled, so what remains per event is mostly block data carried by
-//! messages. Each budget is half the rate this code had while the queue
-//! kept one growable bucket per wheel slot and every handler returned a
-//! freshly allocated effects struct.
+//! messages. The lock budgets are half the rate this code had while the
+//! queue kept one growable bucket per wheel slot and every handler
+//! returned a freshly allocated effects struct; the barrier budget is half
+//! the rate while the classifier kept live update records in a map of maps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use kernels::locks;
-use kernels::workloads::{LockKind, LockWorkload, PostRelease};
+use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease};
+use kernels::{barriers, locks};
 use sim_machine::{Machine, MachineConfig};
 use sim_proto::Protocol;
 
@@ -54,36 +55,45 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations per dispatched event while an 8-processor MCS-lock
-/// cell runs on `cfg` (set-up and verification excluded). The budgets
-/// below halve the old rates: 0.813 under WI and 0.949 under PU.
-fn allocs_per_event(cfg: MachineConfig) -> f64 {
+/// Heap allocations per dispatched event while `run` drives an installed
+/// kernel to completion on `cfg` (set-up and verification excluded).
+fn allocs_per_event<L>(
+    cfg: MachineConfig,
+    install: impl FnOnce(&mut Machine) -> L,
+    verify: impl FnOnce(&mut Machine, &L),
+) -> f64 {
+    let mut m = Machine::new(cfg);
+    let layout = install(&mut m);
+    let before = ALLOCS.with(Cell::get);
+    m.run();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    verify(&mut m, &layout);
+    allocs as f64 / m.events_dispatched() as f64
+}
+
+/// The rate of an 8-processor MCS-lock cell. The budgets below halve the
+/// old rates: 0.813 under WI and 0.949 under PU.
+fn lock_allocs_per_event(cfg: MachineConfig) -> f64 {
     let w = LockWorkload {
         kind: LockKind::Mcs,
         total_acquires: 800,
         cs_cycles: 50,
         post_release: PostRelease::None,
     };
-    let mut m = Machine::new(cfg);
-    let layout = locks::install(&mut m, &w);
-    let before = ALLOCS.with(Cell::get);
-    m.run();
-    let allocs = ALLOCS.with(Cell::get) - before;
-    locks::verify(&mut m, &w, &layout);
-    allocs as f64 / m.events_dispatched() as f64
+    allocs_per_event(cfg, |m| locks::install(m, &w), |m, layout| locks::verify(m, &w, layout))
 }
 
 #[test]
 fn wi_cell_stays_within_its_allocation_budget() {
     const BUDGET: f64 = 0.813 / 2.0;
-    let rate = allocs_per_event(MachineConfig::paper(8, Protocol::WriteInvalidate));
+    let rate = lock_allocs_per_event(MachineConfig::paper(8, Protocol::WriteInvalidate));
     assert!(rate <= BUDGET, "WI: {rate:.3} allocations per event, budget {BUDGET:.3}");
 }
 
 #[test]
 fn pu_cell_stays_within_its_allocation_budget() {
     const BUDGET: f64 = 0.949 / 2.0;
-    let rate = allocs_per_event(MachineConfig::paper(8, Protocol::PureUpdate));
+    let rate = lock_allocs_per_event(MachineConfig::paper(8, Protocol::PureUpdate));
     assert!(rate <= BUDGET, "PU: {rate:.3} allocations per event, budget {BUDGET:.3}");
 }
 
@@ -97,20 +107,40 @@ fn pu_cell_stays_within_its_allocation_budget() {
 #[test]
 fn observed_wi_cell_stays_within_its_allocation_budget() {
     const BUDGET: f64 = 1.209 / 2.0;
-    let rate = allocs_per_event(MachineConfig::paper_observed(8, Protocol::WriteInvalidate));
+    let rate = lock_allocs_per_event(MachineConfig::paper_observed(8, Protocol::WriteInvalidate));
     assert!(rate <= BUDGET, "observed WI: {rate:.3} allocations per event, budget {BUDGET:.3}");
 }
 
 #[test]
 fn observed_pu_cell_stays_within_its_allocation_budget() {
     const BUDGET: f64 = 1.419 / 2.0;
-    let rate = allocs_per_event(MachineConfig::paper_observed(8, Protocol::PureUpdate));
+    let rate = lock_allocs_per_event(MachineConfig::paper_observed(8, Protocol::PureUpdate));
     assert!(rate <= BUDGET, "observed PU: {rate:.3} allocations per event, budget {BUDGET:.3}");
 }
 
 #[test]
 fn observed_cu_cell_stays_within_its_allocation_budget() {
     const BUDGET: f64 = 1.394 / 2.0;
-    let rate = allocs_per_event(MachineConfig::paper_observed(8, Protocol::CompetitiveUpdate));
+    let rate = lock_allocs_per_event(MachineConfig::paper_observed(8, Protocol::CompetitiveUpdate));
     assert!(rate <= BUDGET, "observed CU: {rate:.3} allocations per event, budget {BUDGET:.3}");
+}
+
+// The centralized barrier under PU delivers an update of the counter and
+// the flag to every sharer each episode, and each delivery opened a live
+// update record. The classifier kept those in a map of maps, so every
+// record that was consumed and reopened freed and allocated an inner map.
+// Its records are now bits in a dense per-(node, block) record. The budget
+// halves the rate of the map-of-maps classifier: 0.0764 (this code
+// measures 0.0068).
+
+#[test]
+fn pu_central_barrier_cell_stays_within_its_allocation_budget() {
+    const BUDGET: f64 = 0.0764 / 2.0;
+    let w = BarrierWorkload { kind: BarrierKind::Centralized, episodes: 100 };
+    let rate = allocs_per_event(
+        MachineConfig::paper(8, Protocol::PureUpdate),
+        |m| barriers::install(m, &w),
+        |m, layout| barriers::verify(m, &w, layout),
+    );
+    assert!(rate <= BUDGET, "PU barrier: {rate:.4} allocations per event, budget {BUDGET:.4}");
 }
